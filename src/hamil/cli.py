@@ -15,83 +15,58 @@ import argparse
 import json
 import os
 import sys
+import tomllib
+from dataclasses import fields
 from typing import Any, Dict
 
 import numpy as np
 
-from . import data as data_mod
-from . import tensor as T
+from . import oracles
 from .aggregators import AGGREGATOR_KINDS, AggregatorSpec
-from .hierclust import build_hierarchy, pairwise_instance_distance
-from .data import (CONVERTERS, DataFormatError, MotifSpec, load_bag_csv,
+from .hierclust import build_hierarchy
+from .data import (CONVERTERS, Bag, DataFormatError, MotifSpec, load_bag_csv,
                    save_bag_csv, synth_image_bags)
-from .models import load_model, save_model, build_model
+from .models import ImagePathwayModel, load_model
+from .tensor import Tensor, bce_loss, fully_connected, sigmoid
 from .train_eval import (OptimizerConfig, RunSpec, TrainingDivergedError,
-                         auc_score, run_cv, train)
+                         auc_score, run_cv)
 
 
 class ConfigError(ValueError):
     """Configuration problem; message carries the offending field path."""
 
 
-# -- minimal flat-TOML reader ------------------------------------------------
-# Supports [section] headers and key = value lines where value is a quoted
-# string, integer, float, or true/false. Comments start with '#'.
-
-def _parse_value(raw: str, where: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {raw!r}") from None
-
-
 def load_config_file(path: str) -> Dict[str, Dict[str, Any]]:
-    sections: Dict[str, Dict[str, Any]] = {}
-    current = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            # strip comments outside quotes
-            out, quoted = [], False
-            for ch in line:
-                if ch == '"':
-                    quoted = not quoted
-                if ch == "#" and not quoted:
-                    break
-                out.append(ch)
-            line = "".join(out).strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{where}: expected key = value")
-            if current is None:
-                raise ConfigError(f"{where}: key outside any [section]")
-            key, raw = line.split("=", 1)
-            sections[current][key.strip()] = _parse_value(raw, where)
+    """Parse a TOML config into {section: {key: value}}."""
+    with open(path, "rb") as f:
+        try:
+            sections = tomllib.load(f)
+        except tomllib.TOMLDecodeError as e:
+            raise ConfigError(f"{path}: expected key = value ({e})") from None
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: key {key!r} outside any [section]")
     return sections
 
 
 # -- schema ------------------------------------------------------------------
+
+def _default(cls, name: str) -> tuple:
+    """(type, default) of one dataclass field, so the default lives there."""
+    default = {f.name: f.default for f in fields(cls)}[name]
+    return type(default), default
+
+
+def _defaults(cls) -> Dict[str, tuple]:
+    return {f.name: (type(f.default), f.default) for f in fields(cls)}
+
 
 SCHEMA: Dict[str, Dict[str, tuple]] = {
     # section -> key -> (type, default); default None marks a required key
     "experiment": {
         "name": (str, "experiment"),
         "output_dir": (str, "runs/experiment"),
-        "precision": (str, "f64"),
+        "precision": _default(RunSpec, "precision"),
     },
     "data": {
         "source": (str, None),           # "csv" | "synth_image"
@@ -100,42 +75,22 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
         "n_bags": (int, 80),
         "bag_size_min": (int, 2),
         "bag_size_max": (int, 6),
-        "image_size": (int, 16),
-        "motif_size": (int, 4),
-        "noise_level": (float, 0.3),
-        "positive_fraction": (float, 0.5),
+        "image_size": _default(MotifSpec, "image_size"),
+        "motif_size": _default(MotifSpec, "motif_size"),
+        "noise_level": _default(MotifSpec, "noise_level"),
+        "positive_fraction": _default(MotifSpec, "positive_fraction"),
         "seed": (int, 0),
     },
     "model": {
-        "pathway": (str, "vector"),
-        "dropout": (float, 0.5),
-        "cluster_without_dropout": (bool, False),
-        "normalize_features": (bool, True),
+        "pathway": _default(RunSpec, "pathway"),
+        "dropout": _default(RunSpec, "dropout_rate"),
+        "cluster_without_dropout": _default(RunSpec, "cluster_without_dropout"),
+        "normalize_features": _default(RunSpec, "normalize_features"),
     },
-    "aggregator": {
-        "kind": (str, "hamil"),
-        "layers": (int, 1),
-        "kernel_size": (int, 7),
-        "use_batchnorm": (bool, False),
-        "attention_hidden": (int, 64),
-        "lse_r": (float, 1.0),
-    },
-    "optimizer": {
-        "kind": (str, "sgd"),
-        "learning_rate": (float, 1e-4),
-        "momentum": (float, 0.9),
-        "weight_decay": (float, 0.005),
-        "adam_beta1": (float, 0.9),
-        "adam_beta2": (float, 0.999),
-        "epochs": (int, 100),
-        "bags_per_step": (int, 1),
-    },
-    "cv": {
-        "repetitions": (int, 5),
-        "folds": (int, 10),
-        "base_seed": (int, 7),
-        "workers": (int, 1),
-    },
+    "aggregator": _defaults(AggregatorSpec),
+    "optimizer": _defaults(OptimizerConfig),
+    "cv": {key: _default(RunSpec, key)
+           for key in ("repetitions", "folds", "base_seed", "workers")},
 }
 
 
@@ -197,37 +152,26 @@ def _load_dataset(cfg: Dict[str, Dict[str, Any]]):
     motif = MotifSpec(image_size=d["image_size"], motif_size=d["motif_size"],
                       noise_level=d["noise_level"],
                       positive_fraction=d["positive_fraction"])
-    ds = synth_image_bags(d["n_bags"], (d["bag_size_min"], d["bag_size_max"]),
-                          motif, d["seed"])
-    if d["source"] == "synth_image" and cfg["model"]["pathway"] == "image":
-        return ds
-    return ds
+    return synth_image_bags(d["n_bags"], (d["bag_size_min"], d["bag_size_max"]),
+                            motif, d["seed"])
 
 
 def build_run_spec(cfg: Dict[str, Dict[str, Any]], workers=None) -> RunSpec:
-    agg = cfg["aggregator"]
-    opt = cfg["optimizer"]
+    model, cv = cfg["model"], cfg["cv"]
     return RunSpec(
         dataset=_load_dataset(cfg),
-        pathway=cfg["model"]["pathway"],
-        aggregator=AggregatorSpec(
-            kind=agg["kind"], layers=agg["layers"],
-            kernel_size=agg["kernel_size"],
-            use_batchnorm=agg["use_batchnorm"],
-            attention_hidden=agg["attention_hidden"], lse_r=agg["lse_r"]),
-        optimizer=OptimizerConfig(
-            kind=opt["kind"], learning_rate=opt["learning_rate"],
-            momentum=opt["momentum"], weight_decay=opt["weight_decay"],
-            adam_beta1=opt["adam_beta1"], adam_beta2=opt["adam_beta2"],
-            epochs=opt["epochs"], bags_per_step=opt["bags_per_step"]),
-        repetitions=cfg["cv"]["repetitions"],
-        folds=cfg["cv"]["folds"],
-        base_seed=cfg["cv"]["base_seed"],
-        dropout_rate=cfg["model"]["dropout"],
+        pathway=model["pathway"],
+        aggregator=AggregatorSpec(**cfg["aggregator"]),
+        optimizer=OptimizerConfig(**cfg["optimizer"]),
+        repetitions=cv["repetitions"],
+        folds=cv["folds"],
+        base_seed=cv["base_seed"],
+        dropout_rate=model["dropout"],
         image_size=cfg["data"]["image_size"],
-        normalize_features=cfg["model"]["normalize_features"],
-        cluster_without_dropout=cfg["model"]["cluster_without_dropout"],
-        workers=workers if workers is not None else cfg["cv"]["workers"],
+        normalize_features=model["normalize_features"],
+        cluster_without_dropout=model["cluster_without_dropout"],
+        precision=cfg["experiment"]["precision"],
+        workers=workers if workers is not None else cv["workers"],
     )
 
 
@@ -240,12 +184,11 @@ def cmd_run(args) -> int:
             cfg["cv"]["base_seed"] = args.seed
         if args.precision is not None:
             cfg["experiment"]["precision"] = args.precision
-        T.set_default_dtype(cfg["experiment"]["precision"])
         workers = args.workers
         if workers is None:
             workers = cfg["cv"]["workers"]
-        workers = max(1, min(workers if workers else (os.cpu_count() or 1),
-                             cfg["cv"]["folds"]))
+        jobs = cfg["cv"]["repetitions"] * cfg["cv"]["folds"]
+        workers = max(1, min(workers or os.cpu_count() or 1, jobs))
         spec = build_run_spec(cfg, workers=workers)
     except (ConfigError, OSError, DataFormatError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -321,9 +264,9 @@ def cmd_scores(args) -> int:
     if bag is None:
         print(f"error: unknown bag_id {args.bag_id!r}", file=sys.stderr)
         return 1
-    if model_is_image(model):
+    if isinstance(model, ImagePathwayModel):
         s = model.image_size
-        bag = data_mod.Bag(
+        bag = Bag(
             bag.bag_id,
             [np.asarray(i).reshape(model.in_channels, s, s) for i in bag.instances],
             bag.labels)
@@ -337,10 +280,6 @@ def cmd_scores(args) -> int:
     return 0
 
 
-def model_is_image(model) -> bool:
-    return hasattr(model, "image_size")
-
-
 def cmd_selftest(args) -> int:
     """Fast sanity suite: autodiff vs finite differences, clustering vs a
     literal re-scan agglomerator, AUC vs the pairwise oracle."""
@@ -352,28 +291,19 @@ def cmd_selftest(args) -> int:
         failures += 0 if ok else 1
 
     rng = np.random.default_rng(0)
-    # gradient check: composite fc -> relu -> conv1d-style path via bce
-    from .tensor import Tensor, fully_connected, relu, bce_loss, sigmoid, reshape
+    # gradient check: fc -> sigmoid -> bce
     ok = True
     for trial in range(10):
-        x = rng.standard_normal((3, 5))
+        x = Tensor(rng.standard_normal((3, 5)))
         w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        b = Tensor(rng.standard_normal(4))
         t = Tensor((rng.random((3, 4)) > 0.5).astype(float))
 
-        def f(wv):
-            wt = Tensor(wv)
-            return bce_loss(sigmoid(fully_connected(Tensor(x), wt, Tensor(b.data))), t).item()
-        loss = bce_loss(sigmoid(fully_connected(Tensor(x), w, b)), Tensor(t.data))
-        loss.backward()
-        num = np.zeros_like(w.data)
-        h = 1e-5
-        for idx in np.ndindex(*w.data.shape):
-            wp = w.data.copy(); wp[idx] += h
-            wm = w.data.copy(); wm[idx] -= h
-            num[idx] = (f(wp) - f(wm)) / (2 * h)
-        rel = np.abs(num - w.grad) / np.maximum(1e-8, np.abs(num) + np.abs(w.grad))
-        ok = ok and rel.max() < 1e-5
+        def loss(wt):
+            return bce_loss(sigmoid(fully_connected(x, wt, b)), t)
+        loss(w).backward()
+        num = oracles.numeric_grad(lambda v: loss(Tensor(v)).item(), w.data)
+        ok = ok and oracles.relative_error(num, w.grad) < 1e-5
     report("autodiff matches finite differences", ok)
 
     ok = True
@@ -382,7 +312,7 @@ def cmd_selftest(args) -> int:
         feats = rng.standard_normal((m, 3))
         queue = build_hierarchy(feats)
         queue.validate(m)
-        ref = _naive_hierarchy(feats)
+        ref = oracles.naive_single_link(feats)
         ok = ok and [(t.left, t.right, t.new) for t in queue] == ref
     report("hierarchy matches literal agglomerator", ok)
 
@@ -394,41 +324,10 @@ def cmd_selftest(args) -> int:
         if targets.min() == targets.max():
             continue
         a = auc_score(scores, targets)
-        ok = ok and abs(a - _pairwise_auc(scores, targets)) < 1e-12
+        ok = ok and abs(a - oracles.pairwise_auc(scores, targets)) < 1e-12
     report("AUC matches pairwise oracle", ok)
 
     return 1 if failures else 0
-
-
-def _naive_hierarchy(feats):
-    m = len(feats)
-    clusters = {i + 1: [i] for i in range(m)}
-    next_idx = m
-    out = []
-    while len(clusters) > 1:
-        idxs = sorted(clusters)
-        best = None
-        for ii in range(len(idxs) - 1):
-            for jj in range(ii + 1, len(idxs)):
-                d = min(pairwise_instance_distance(feats[p], feats[q])
-                        for p in clusters[idxs[ii]] for q in clusters[idxs[jj]])
-                if best is None or d < best[0]:
-                    best = (d, idxs[ii], idxs[jj])
-        _, a, b = best
-        next_idx += 1
-        clusters[next_idx] = clusters.pop(a) + clusters.pop(b)
-        out.append((a, b, next_idx))
-    return out
-
-
-def _pairwise_auc(scores, targets):
-    pos = scores[targets > 0.5]
-    neg = scores[targets <= 0.5]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            total += 1.0 if p > n else (0.5 if p == n else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 def main(argv=None) -> int:
@@ -442,7 +341,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override cv.base_seed")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker processes (0 = all cores, capped by folds)")
+                       help="worker processes (0 = all cores, capped by "
+                            "repetitions x folds)")
     p_run.add_argument("--dry-run", action="store_true")
     p_run.add_argument("--precision", choices=("f32", "f64"), default=None)
     p_run.set_defaults(func=cmd_run)

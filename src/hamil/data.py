@@ -144,10 +144,12 @@ def load_bag_csv(path: str, name: Optional[str] = None) -> Dataset:
             meta = json.load(f)
         for key, actual in (("feature_dim", D), ("label_count", k),
                             ("bag_count", len(bags)),
-                            ("instance_count", ds.instance_count)):
+                            ("instance_count", ds.instance_count),
+                            ("checksum", _file_sha256(path))):
             if meta.get(key) != actual:
                 raise DataFormatError(
-                    f"{path}: sidecar {key}={meta.get(key)} but file has {actual}")
+                    f"{path}: sidecar {sidecar} has {key}={meta.get(key)} "
+                    f"but the file has {actual}")
     return ds
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -90,16 +90,6 @@ def pairwise_instance_distance(a, b) -> float:
     # same reduction as the matrix path below, so cluster distances match
     # instance distances bit for bit
     return float(np.sqrt(np.sum(d * d)))
-
-
-def cluster_distance(A: Sequence[int], B: Sequence[int], features) -> float:
-    """Single-link distance: min over all cross-cluster instance pairs."""
-    if not len(A) or not len(B):
-        raise ValueError("cluster_distance on an empty cluster")
-    F = _feature_matrix(features)
-    diff = F[list(A)][:, None, :] - F[list(B)][None, :, :]
-    # sqrt is exact and monotone: sqrt(min(d2)) == min(sqrt(d2)) bitwise
-    return float(np.sqrt(np.sum(diff * diff, axis=-1).min()))
 
 
 def _feature_matrix(features) -> np.ndarray:

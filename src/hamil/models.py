@@ -12,7 +12,7 @@ pretrained backbones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -207,14 +207,7 @@ def _check_mode(mode: str) -> bool:
 def model_config(model) -> dict:
     """Architecture description sufficient to rebuild the model."""
     cfg = {
-        "aggregator": {
-            "kind": model.spec.kind,
-            "layers": model.spec.layers,
-            "kernel_size": model.spec.kernel_size,
-            "use_batchnorm": model.spec.use_batchnorm,
-            "attention_hidden": model.spec.attention_hidden,
-            "lse_r": model.spec.lse_r,
-        },
+        "aggregator": asdict(model.spec),
         "label_count": model.label_count,
         "cluster_without_dropout": model.cluster_without_dropout,
     }

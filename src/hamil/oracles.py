@@ -1,0 +1,78 @@
+"""Reference implementations the fast paths are checked against.
+
+Brute-force single link, the quadratic pairwise AUC and central finite
+differences share no code with the library routines they check
+(`hierclust.build_hierarchy`, `train_eval.auc_score`, `Tensor.backward`).
+`hamil selftest` and the test suite both use them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Sequence
+
+import numpy as np
+
+
+def naive_single_link(features):
+    """Literal agglomerator: rescan every cluster pair each round, strict
+    '<' over ascending indices, no caching. Pure Python arithmetic."""
+    m = len(features)
+    clusters = {i + 1: [i] for i in range(m)}
+    next_idx = m
+    triplets = []
+    while len(clusters) > 1:
+        idxs = sorted(clusters)
+        best = None
+        for a_pos in range(len(idxs) - 1):
+            for b_pos in range(a_pos + 1, len(idxs)):
+                a, b = idxs[a_pos], idxs[b_pos]
+                d = min(
+                    math.sqrt(sum((float(x) - float(y)) ** 2
+                                  for x, y in zip(features[p], features[q])))
+                    for p in clusters[a] for q in clusters[b])
+                if best is None or d < best[0]:
+                    best = (d, a, b)
+        _, a, b = best
+        next_idx += 1
+        clusters[next_idx] = clusters.pop(a) + clusters.pop(b)
+        triplets.append((a, b, next_idx))
+    return triplets
+
+
+def cluster_distance(A: Sequence[int], B: Sequence[int], features) -> float:
+    """Single-link distance: min over all cross-cluster instance pairs."""
+    if not len(A) or not len(B):
+        raise ValueError("cluster_distance on an empty cluster")
+    F = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in features])
+    diff = F[list(A)][:, None, :] - F[list(B)][None, :, :]
+    # sqrt is exact and monotone: sqrt(min(d2)) == min(sqrt(d2)) bitwise
+    return float(np.sqrt(np.sum(diff * diff, axis=-1).min()))
+
+
+def pairwise_auc(scores, targets) -> float:
+    """Quadratic oracle: P(score_pos > score_neg) + 0.5 P(tie)."""
+    pos = [s for s, t in zip(scores, targets) if t > 0.5]
+    neg = [s for s, t in zip(scores, targets) if t <= 0.5]
+    total = 0.0
+    for p, n in itertools.product(pos, neg):
+        total += 1.0 if p > n else (0.5 if p == n else 0.0)
+    return total / (len(pos) * len(neg))
+
+
+def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar function of one array."""
+    g = np.zeros_like(x, dtype=np.float64)
+    for idx in np.ndindex(*x.shape):
+        xp = x.copy()
+        xp[idx] += h
+        xm = x.copy()
+        xm[idx] -= h
+        g[idx] = (f(xp) - f(xm)) / (2 * h)
+    return g
+
+
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
+    return float(np.max(np.abs(a - b) / denom))

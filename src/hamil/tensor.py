@@ -33,10 +33,6 @@ def set_default_dtype(dtype) -> None:
         raise ValueError(f"unsupported dtype: {dtype!r}")
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
 
@@ -334,14 +330,6 @@ def reduce(x: Tensor, kind: str, axis: int, r: float = 1.0) -> Tensor:
             return [(x, np.expand_dims(g, axis) * w)]
         return _node(out, (x,), backward)
     raise ValueError(f"unknown reduce kind: {kind!r}")
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def backward(g):
-        return [(x, np.full_like(x.data, float(g) / n))]
-    return _node(np.mean(x.data), (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

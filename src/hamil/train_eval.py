@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy.stats import rankdata
 
+from . import tensor as T
 from .aggregators import AggregatorSpec
 from .data import Bag, CVPlan, Dataset, make_cv_plan, normalize
 from .models import build_model, loss_bag
@@ -197,6 +198,7 @@ class RunSpec:
     image_size: int = 16
     normalize_features: bool = True
     cluster_without_dropout: bool = False
+    precision: str = "f64"           # f64 | f32, set in each fold's process
     workers: int = 1
 
     def config_hash(self) -> str:
@@ -271,6 +273,7 @@ def _fold_seed(base_seed: int, rep: int, fold: int) -> int:
 
 def _run_fold(args):
     spec, plan, rep, fold = args
+    T.set_default_dtype(spec.precision)
     train_ds, test_ds = plan.fold_split(spec.dataset, rep, fold)
     if not train_ds.bags or not test_ds.bags:
         raise ValueError(f"rep {rep} fold {fold}: empty train or test split")

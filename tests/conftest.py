@@ -2,23 +2,6 @@ import numpy as np
 import pytest
 
 
-def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of one array."""
-    g = np.zeros_like(x, dtype=np.float64)
-    for idx in np.ndindex(*x.shape):
-        xp = x.copy()
-        xp[idx] += h
-        xm = x.copy()
-        xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
-    return float(np.max(np.abs(a - b) / denom))
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

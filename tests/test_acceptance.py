@@ -6,7 +6,6 @@ elephant in canonical format); point HAMIL_DATA_DIR at a directory holding
 them, or place them under ./data. Without the files those two tests skip.
 """
 
-import itertools
 import math
 import os
 import time
@@ -21,12 +20,11 @@ from hamil.data import (Bag, MotifSpec, load_bag_csv, oracle_motif_detector,
                         save_bag_csv, synth_image_bags)
 from hamil.hierclust import build_hierarchy
 from hamil.models import build_model, loss_bag, save_model
+from hamil.oracles import (naive_single_link, numeric_grad, pairwise_auc,
+                           relative_error)
 from hamil.tensor import Tensor
 from hamil.train_eval import (OptimizerConfig, RunSpec, auc_score, evaluate,
                               run_cv, train)
-
-from test_hierclust import naive_single_link
-from test_train_eval import pairwise_auc
 
 
 def report(num, ok, detail):
@@ -37,21 +35,6 @@ def report(num, ok, detail):
 def skip(num, detail):
     print(f"\n[SKIP] criterion {num}: {detail}")
     pytest.skip(detail)
-
-
-def numeric_grad(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    for idx in np.ndindex(*x.shape):
-        xp = x.copy()
-        xp[idx] += h
-        xm = x.copy()
-        xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
-def rel_err(a, b):
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8)))
 
 
 def data_dir():
@@ -129,7 +112,7 @@ class TestCriterion1GradientCorrectness:
         def f(v):
             return builder(Tensor(v)).item()
 
-        return rel_err(leaf.grad, numeric_grad(f, x))
+        return relative_error(leaf.grad, numeric_grad(f, x))
 
     def test_criterion_1(self):
         t0 = time.monotonic()

@@ -10,7 +10,7 @@ from hamil.aggregators import (AggregatorSpec, AggUnitParams, AttentionParams,
 from hamil.hierclust import MergeQueue, MergeTriplet, QueueIntegrityError, build_hierarchy
 from hamil.tensor import Tensor
 
-from conftest import numeric_grad, relative_error
+from hamil.oracles import numeric_grad, relative_error
 
 
 def make_unit(mode="1d", layers=1, k=7, bn=False, seed=0):

@@ -162,6 +162,16 @@ class TestRunCommand:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.toml")]) == 2
 
+    def test_workers_capped_by_total_jobs(self, tmp_path, capsys):
+        text = MINI_CONFIG.replace("repetitions = 1\nfolds = 2",
+                                   "repetitions = 2\nfolds = 5")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["run", "--config", cfg, "--dry-run",
+                     "--workers", "12"]) == 0
+        out = capsys.readouterr().out
+        assert "planned: 2 repetitions x 5 folds" in out
+        assert out.rstrip().endswith("workers=10")
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--dry-run", "--seed", "99"]) == 0

@@ -63,6 +63,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="sidecar"):
             load_bag_csv(path)
 
+    def test_sidecar_checksum_checked(self, tmp_path):
+        ds = toy_dataset()
+        ds.bags[0].instances[0][0] = 2.0
+        path = tmp_path / "toy.csv"
+        save_bag_csv(ds, str(path))
+        text = path.read_text()
+        assert text.count(",2.0,") == 1
+        path.write_text(text.replace(",2.0,", ",3.0,"))
+        with pytest.raises(DataFormatError,
+                           match=r"toy\.csv\.meta\.json has checksum="):
+            load_bag_csv(str(path))
+
     def test_two_bag_example(self, tmp_path):
         path = tmp_path / "mini.csv"
         path.write_text("bag_id,label_0,f_0,f_1\n"

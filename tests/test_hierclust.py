@@ -5,34 +5,8 @@ import pytest
 
 from hamil.hierclust import (EmptyBagError, MergeQueue, MergeTriplet,
                              QueueIntegrityError, build_hierarchy,
-                             cluster_distance, pairwise_instance_distance)
-
-
-def naive_single_link(features):
-    """Literal agglomerator: rescan every cluster pair each round, strict
-    '<' over ascending indices, no caching. Independent of the library's
-    incremental implementation."""
-    m = len(features)
-    clusters = {i + 1: [i] for i in range(m)}
-    next_idx = m
-    triplets = []
-    while len(clusters) > 1:
-        idxs = sorted(clusters)
-        best = None
-        for a_pos in range(len(idxs) - 1):
-            for b_pos in range(a_pos + 1, len(idxs)):
-                a, b = idxs[a_pos], idxs[b_pos]
-                d = min(
-                    math.sqrt(sum((float(x) - float(y)) ** 2
-                                  for x, y in zip(features[p], features[q])))
-                    for p in clusters[a] for q in clusters[b])
-                if best is None or d < best[0]:
-                    best = (d, a, b)
-        _, a, b = best
-        next_idx += 1
-        clusters[next_idx] = clusters.pop(a) + clusters.pop(b)
-        triplets.append((a, b, next_idx))
-    return triplets
+                             pairwise_instance_distance)
+from hamil.oracles import cluster_distance, naive_single_link
 
 
 def as_tuples(queue):

@@ -10,7 +10,7 @@ from hamil.models import (BagForward, build_model, load_model, loss_bag,
                           model_config, save_model)
 from hamil.tensor import Tensor
 
-from conftest import numeric_grad, relative_error
+from hamil.oracles import numeric_grad, relative_error
 
 
 def vec_bag(rng, m=4, dim=6, label=1.0, bag_id="b0"):

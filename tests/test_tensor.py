@@ -6,7 +6,7 @@ import pytest
 from hamil import tensor as T
 from hamil.tensor import Tensor
 
-from conftest import numeric_grad, relative_error
+from hamil.oracles import numeric_grad, relative_error
 
 
 def grad_check(build_loss, leaf_value, tol=1e-6, h=1e-5):

@@ -1,26 +1,18 @@
-import itertools
 import json
 
 import numpy as np
 import pytest
 
+from hamil import tensor as T
+from hamil import train_eval
 from hamil.aggregators import AggregatorSpec
-from hamil.data import Bag, Dataset, MotifSpec, synth_image_bags
+from hamil.data import Bag, Dataset, MotifSpec, make_cv_plan, synth_image_bags
 from hamil.models import build_model
+from hamil.oracles import pairwise_auc
 from hamil.tensor import Tensor
 from hamil.train_eval import (METRIC_NAMES, OptimizerConfig, RunSpec,
                               TrainingDivergedError, _Optimizer, auc_score,
                               evaluate, run_cv, train)
-
-
-def pairwise_auc(scores, targets):
-    """Quadratic oracle: P(score_pos > score_neg) + 0.5 P(tie)."""
-    pos = [s for s, t in zip(scores, targets) if t > 0.5]
-    neg = [s for s, t in zip(scores, targets) if t <= 0.5]
-    total = 0.0
-    for p, n in itertools.product(pos, neg):
-        total += 1.0 if p > n else (0.5 if p == n else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 def separable_dataset(n=16, dim=4, seed=0):
@@ -255,6 +247,31 @@ class TestRunCv:
         run_cv(self.small_spec(), progress=lambda f: seen.append((f.repetition,
                                                                   f.fold)))
         assert seen == [(0, 0), (0, 1)]
+
+    def test_precision_enters_config_hash(self):
+        assert (self.small_spec(precision="f32").config_hash()
+                != self.small_spec(precision="f64").config_hash())
+
+    @pytest.mark.parametrize("precision,dtype", [("f32", np.float32),
+                                                 ("f64", np.float64)])
+    def test_run_fold_trains_in_spec_precision(self, monkeypatch, precision,
+                                               dtype):
+        seen = []
+        real_train = train_eval.train
+
+        def spy(model, *args, **kw):
+            seen.append({p.data.dtype for p in model.parameters().values()})
+            return real_train(model, *args, **kw)
+        monkeypatch.setattr(train_eval, "train", spy)
+        spec = self.small_spec(precision=precision)
+        plan = make_cv_plan(spec.dataset, 1, 2, spec.base_seed)
+        # the process-wide precision starts at the other value
+        T.set_default_dtype("f64" if precision == "f32" else "f32")
+        try:
+            train_eval._run_fold((spec, plan, 0, 0))
+        finally:
+            T.set_default_dtype("f64")
+        assert seen == [{np.dtype(dtype)}]
 
     def test_image_pathway_smoke(self):
         ds = synth_image_bags(10, (2, 3), MotifSpec(image_size=8, motif_size=2),
