@@ -55,8 +55,9 @@ class AggUnitParams:
     """Shared parameters of an L1/L2/L3 aggregation unit.
 
     mode "1d": each conv maps a 2-channel length-D signal to 1 channel.
-    mode "2d": the same 2->1 kernel is applied per channel of C x H x W
-    maps and the C outputs are concatenated back.
+    mode "2d": the same 2->1 kernel fuses every channel of two C x H x W
+    maps, with the C channels as the conv's batch axis; any batchnorm pools
+    its statistics over all C maps of a merge.
     """
 
     def __init__(self, spec: AggregatorSpec, mode: str, rng: np.random.Generator):
@@ -115,19 +116,19 @@ class AggUnitParams:
 
 
 def _unit_forward(x: Tensor, params: AggUnitParams, training: bool) -> Tensor:
-    """Run the stacked conv unit on a 2-channel signal, returning 1 channel."""
+    """Run the stacked conv unit on x[..., 2, *S], returning x[..., 1, *S].
+    Batchnorm pools its one channel over the whole flattened output."""
     conv = T.conv1d if params.mode == "1d" else T.conv2d
     h = x
     for layer in range(params.layers):
         h = conv(h, params.weights[layer], params.biases[layer], params.padding)
-        last = layer == params.layers - 1
-        if not last:
-            h = T.batchnorm(h, params.bn_gamma[layer], params.bn_beta[layer],
-                            params.bn_state[layer], training)
+        if layer < len(params.bn_state):     # after inner layers, or a lone one
+            shape = h.data.shape
+            h = T.batchnorm(T.reshape(h, (1, -1)), params.bn_gamma[layer],
+                            params.bn_beta[layer], params.bn_state[layer], training)
+            h = T.reshape(h, shape)
+        if layer < params.layers - 1:
             h = T.relu(h)
-        elif params.layers == 1 and params.use_batchnorm:
-            h = T.batchnorm(h, params.bn_gamma[0], params.bn_beta[0],
-                            params.bn_state[0], training)
     return h
 
 
@@ -135,27 +136,19 @@ def aggregate_pair(a: Tensor, b: Tensor, params: AggUnitParams,
                    training: bool = False) -> Tensor:
     """Fuse two equal-shape features through the shared conv unit.
 
-    Vectors (D,) are stacked into a 2 x D signal; feature maps (C, H, W)
-    are fused channel by channel with the same kernel and re-concatenated.
+    The pair becomes the unit's two input channels: vectors (D,) are stacked
+    into a 2 x D signal, feature maps (C, H, W) into C x 2 x H x W, where the
+    C channels are a batch that one conv per layer fuses with the same kernel.
     """
     if a.data.shape != b.data.shape:
         raise T.ShapeError(
             f"aggregate_pair: shapes {a.data.shape} and {b.data.shape} differ")
-    if params.mode == "1d":
-        if a.data.ndim != 1:
-            raise T.ShapeError(
-                f"1d aggregation expects vectors, got shape {a.data.shape}")
-        pair = T.stack([a, b], axis=0)              # (2, D)
-        out = _unit_forward(pair, params, training)  # (1, D)
-        return T.reshape(out, (a.data.shape[0],))
-    if a.data.ndim != 3:
-        raise T.ShapeError(
-            f"2d aggregation expects (C, H, W) maps, got shape {a.data.shape}")
-    channels = []
-    for c in range(a.data.shape[0]):
-        pair = T.stack([a[c], b[c]], axis=0)        # (2, H, W)
-        channels.append(_unit_forward(pair, params, training))
-    return T.concat(channels, axis=0)               # (C, H, W)
+    expected = (1, "vectors") if params.mode == "1d" else (3, "(C, H, W) maps")
+    if a.data.ndim != expected[0]:
+        raise T.ShapeError(f"{params.mode} aggregation expects {expected[1]}, "
+                           f"got shape {a.data.shape}")
+    pair = T.stack([a, b], axis=0 if params.mode == "1d" else 1)
+    return T.reshape(_unit_forward(pair, params, training), a.data.shape)
 
 
 def _mean_pair(a: Tensor, b: Tensor) -> Tensor:

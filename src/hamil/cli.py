@@ -27,7 +27,7 @@ from .hierclust import build_hierarchy
 from .data import (CONVERTERS, Bag, DataFormatError, MotifSpec, load_bag_csv,
                    save_bag_csv, synth_image_bags)
 from .models import ImagePathwayModel, load_model
-from .tensor import Tensor, bce_loss, fully_connected, sigmoid
+from .tensor import Tensor, bce_loss, conv2d, fully_connected, sigmoid
 from .train_eval import (OptimizerConfig, RunSpec, TrainingDivergedError,
                          auc_score, run_cv)
 
@@ -156,13 +156,21 @@ def _load_dataset(cfg: Dict[str, Dict[str, Any]]):
                             motif, d["seed"])
 
 
+def _build_section(cls, cfg: Dict[str, Dict[str, Any]], section: str):
+    """Construct a section's dataclass; its own checks become ConfigErrors."""
+    try:
+        return cls(**cfg[section])
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from None
+
+
 def build_run_spec(cfg: Dict[str, Dict[str, Any]], workers=None) -> RunSpec:
     model, cv = cfg["model"], cfg["cv"]
     return RunSpec(
         dataset=_load_dataset(cfg),
         pathway=model["pathway"],
-        aggregator=AggregatorSpec(**cfg["aggregator"]),
-        optimizer=OptimizerConfig(**cfg["optimizer"]),
+        aggregator=_build_section(AggregatorSpec, cfg, "aggregator"),
+        optimizer=_build_section(OptimizerConfig, cfg, "optimizer"),
         repetitions=cv["repetitions"],
         folds=cv["folds"],
         base_seed=cv["base_seed"],
@@ -282,7 +290,8 @@ def cmd_scores(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast sanity suite: autodiff vs finite differences, clustering vs a
-    literal re-scan agglomerator, AUC vs the pairwise oracle."""
+    literal re-scan agglomerator, AUC vs the pairwise oracle, batched conv2d
+    vs a literal loop."""
     failures = 0
 
     def report(name, ok):
@@ -326,6 +335,14 @@ def cmd_selftest(args) -> int:
         a = auc_score(scores, targets)
         ok = ok and abs(a - oracles.pairwise_auc(scores, targets)) < 1e-12
     report("AUC matches pairwise oracle", ok)
+
+    x = rng.standard_normal((3, 2, 6, 6))
+    w = rng.standard_normal((4, 2, 3, 3))
+    b = rng.standard_normal(4)
+    fast = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+    report("batched conv2d matches direct loop",
+           np.allclose(fast, oracles.loop_conv2d(x, w, b, padding=1),
+                       rtol=0, atol=1e-12))
 
     return 1 if failures else 0
 

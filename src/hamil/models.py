@@ -170,24 +170,25 @@ class ImagePathwayModel(_BaseModel):
         out["head.bias"] = self.head_b
         return out
 
-    def _extract(self, img: np.ndarray) -> Tensor:
-        h = Tensor(img)
+    def _extract(self, imgs: np.ndarray) -> Tensor:
+        """Backbone over imgs[..., Cin, s, s], giving [..., C, s/4, s/4]."""
+        h = Tensor(imgs)
         for w, b in zip(self.conv_w, self.conv_b):
             h = T.maxpool2d(T.relu(T.conv2d(h, w, b, padding=1)), 2)
-        return h                                            # (C, s/4, s/4)
+        return h
 
     def forward_bag(self, bag: Bag, mode: str = "eval",
                     rng: Optional[np.random.Generator] = None) -> BagForward:
         training = _check_mode(mode)
         s = self.image_size
-        feats = []
-        for inst in bag.instances:
-            img = np.asarray(inst, dtype=np.float64)
+        imgs = [np.asarray(inst, dtype=np.float64) for inst in bag.instances]
+        for img in imgs:
             if img.shape != (self.in_channels, s, s):
                 raise T.ShapeError(
                     f"bag {bag.bag_id!r}: image shape {img.shape}, model "
                     f"expects {(self.in_channels, s, s)}")
-            feats.append(self._extract(img))
+        H = self._extract(np.stack(imgs))                   # (m, C, s/4, s/4)
+        feats = [H[i] for i in range(len(imgs))]
         cluster_feats = [f.data.ravel() for f in feats]
         aggregated, queue = self._aggregate(feats, cluster_feats, training, rng)
         pooled = T.reduce(T.reduce(aggregated, "mean", axis=2), "mean", axis=1)

@@ -1,8 +1,9 @@
 """Reference implementations the fast paths are checked against.
 
-Brute-force single link, the quadratic pairwise AUC and central finite
-differences share no code with the library routines they check
-(`hierclust.build_hierarchy`, `train_eval.auc_score`, `Tensor.backward`).
+Brute-force single link, the quadratic pairwise AUC, a literal-loop 2-D
+cross-correlation and central finite differences share no code with the
+library routines they check (`hierclust.build_hierarchy`,
+`train_eval.auc_score`, `tensor.conv2d`, `Tensor.backward`).
 `hamil selftest` and the test suite both use them.
 """
 
@@ -59,6 +60,26 @@ def pairwise_auc(scores, targets) -> float:
     for p, n in itertools.product(pos, neg):
         total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def loop_conv2d(x, weight, bias, padding: int = 0) -> np.ndarray:
+    """Literal zero-padded cross-correlation of x[..., Cin, H, W] with
+    weight[Cout, Cin, kh, kw]: one Python multiply-add per tap, taps that
+    fall in the padding skipped."""
+    x = np.asarray(x, dtype=np.float64)
+    *lead, cin, H, W = x.shape
+    cout, _, kh, kw = weight.shape
+    Ho, Wo = H + 2 * padding - kh + 1, W + 2 * padding - kw + 1
+    out = np.zeros((*lead, cout, Ho, Wo))
+    for n in np.ndindex(*lead):
+        for o, r, c in itertools.product(range(cout), range(Ho), range(Wo)):
+            acc = float(bias[o])
+            for i, u, v in itertools.product(range(cin), range(kh), range(kw)):
+                y, z = r + u - padding, c + v - padding
+                if 0 <= y < H and 0 <= z < W:
+                    acc += float(x[n + (i, y, z)]) * float(weight[o, i, u, v])
+            out[n + (o, r, c)] = acc
+    return out
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -3,7 +3,8 @@
 Covers exactly the operations the aggregation networks need: affine layers,
 1D/2D cross-correlation, pointwise nonlinearities, dropout, batchnorm,
 reductions (max/mean/sum/log-sum-exp), stacking/concatenation, and BCE loss.
-No broadcasting beyond scalars, no higher-order derivatives, CPU only.
+conv2d and maxpool2d take leading batch axes (x[..., C, H, W]); otherwise
+no broadcasting beyond scalars, no higher-order derivatives, CPU only.
 """
 
 from __future__ import annotations
@@ -465,12 +466,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[Cin, H, W] with weight[Cout, Cin, kh, kw]."""
-    if x.data.ndim != 3 or weight.data.ndim != 4:
+    """Cross-correlation of x[..., Cin, H, W] with weight[Cout, Cin, kh, kw];
+    the leading axes of x are flattened into one batch for a single einsum."""
+    if x.data.ndim < 3 or weight.data.ndim != 4:
         raise ShapeError(
-            f"conv2d: x {x.data.shape} must be (Cin, H, W) and "
+            f"conv2d: x {x.data.shape} must be (..., Cin, H, W) and "
             f"weight {weight.data.shape} must be (Cout, Cin, kh, kw)")
-    cin, H, W = x.data.shape
+    *lead, cin, H, W = x.data.shape
     cout, wcin, kh, kw = weight.data.shape
     if wcin != cin:
         raise ShapeError(
@@ -481,39 +483,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d: kernel ({kh},{kw}) exceeds padded input "
             f"({H + 2 * padding},{W + 2 * padding})")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))   # (Cin, H', W', kh, kw)
-    out = np.einsum("ihwuv,oiuv->ohw", win, weight.data) \
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.data.reshape(-1, cin, H, W), pad)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))   # (N, Cin, H', W', kh, kw)
+    out = np.einsum("nihwuv,oiuv->nohw", win, weight.data) \
         + bias.data[:, None, None]
 
     def backward(g):
-        gw = np.einsum("ihwuv,ohw->oiuv", win, g)
-        gb = g.sum(axis=(1, 2))
-        gp = np.pad(g, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gwin = sliding_window_view(gp, (kh, kw), axis=(1, 2))
+        g = g.reshape(out.shape)
+        gw = np.einsum("nihwuv,nohw->oiuv", win, g)
+        gb = g.sum(axis=(0, 2, 3))
+        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
         wf = weight.data[:, :, ::-1, ::-1]
-        gx_p = np.einsum("ohwuv,oiuv->ihw", gwin, wf)
-        gx = gx_p[:, padding:padding + H, padding:padding + W] if padding else gx_p
-        return [(x, gx), (weight, gw), (bias, gb)]
-    return _node(out, (x, weight, bias), backward)
+        gx_p = np.einsum("nohwuv,oiuv->nihw", gwin, wf)
+        gx = gx_p[:, :, padding:padding + H, padding:padding + W] if padding else gx_p
+        return [(x, gx.reshape(x.data.shape)), (weight, gw), (bias, gb)]
+    return _node(out.reshape(*lead, *out.shape[1:]), (x, weight, bias), backward)
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping k x k max pooling over x[C, H, W]; H, W divisible by k."""
-    C, H, W = x.data.shape
+    """Non-overlapping k x k max pooling over x[..., H, W]; H, W divisible by k."""
+    *lead, H, W = x.data.shape
     if H % k or W % k:
         raise ShapeError(f"maxpool2d: ({H},{W}) not divisible by {k}")
     h2, w2 = H // k, W // k
-    r = x.data.reshape(C, h2, k, w2, k).transpose(0, 1, 3, 2, 4).reshape(C, h2, w2, k * k)
+    r = x.data.reshape(-1, h2, k, w2, k).transpose(0, 1, 3, 2, 4).reshape(-1, h2, w2, k * k)
     idx = np.argmax(r, axis=-1)
     out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         gr = np.zeros_like(r)
-        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        gx = gr.reshape(C, h2, w2, k, k).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
+        np.put_along_axis(gr, idx[..., None], g.reshape(idx.shape)[..., None], axis=-1)
+        gx = gr.reshape(-1, h2, w2, k, k).transpose(0, 1, 3, 2, 4).reshape(x.data.shape)
         return [(x, gx)]
-    return _node(out, (x,), backward)
+    return _node(out.reshape(*lead, h2, w2), (x,), backward)
 
 
 # -- batch normalization -----------------------------------------------------

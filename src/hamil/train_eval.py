@@ -202,7 +202,9 @@ class RunSpec:
     workers: int = 1
 
     def config_hash(self) -> str:
+        """Hash of what determines the metrics; `workers` does not."""
         d = asdict(self)
+        del d["workers"]
         d["dataset"] = {"name": self.dataset.name,
                         "bags": len(self.dataset.bags),
                         "instances": self.dataset.instance_count}

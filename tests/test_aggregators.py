@@ -33,6 +33,41 @@ class TestAggregatePair:
         out = aggregate_pair(a, b, params)
         np.testing.assert_allclose(out.data, (a.data + b.data) / 2, atol=1e-15)
 
+    def test_2d_matches_per_channel_reference(self, rng):
+        # reference: the 1-layer 2-D unit run channel by channel and
+        # re-concatenated
+        params = make_unit("2d", k=3, seed=5)
+        w, bias = params.weights[0], params.biases[0]
+
+        def per_channel(a, b):
+            return T.concat([T.conv2d(T.stack([a[c], b[c]]), w, bias,
+                                      params.padding)
+                             for c in range(a.data.shape[0])], axis=0)
+
+        av, bv = rng.standard_normal((4, 5, 5)), rng.standard_normal((4, 5, 5))
+        G = Tensor(rng.standard_normal((4, 5, 5)))
+        results = []
+        for fuse in (lambda a, b: aggregate_pair(a, b, params), per_channel):
+            a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+            w.grad = bias.grad = None
+            out = fuse(a, b)
+            T.sum_all(T.mul(out, G)).backward()
+            results.append([out.data, a.grad, b.grad, w.grad, bias.grad])
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_2d_batchnorm_shares_statistics_across_channels(self, rng):
+        params = make_unit("2d", k=3, bn=True, seed=6)
+        av, bv = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
+        aggregate_pair(Tensor(av), Tensor(bv), params, training=True)
+        conv = T.conv2d(Tensor(np.stack([av, bv], axis=1)), params.weights[0],
+                        params.biases[0], params.padding).data   # (3, 1, 4, 4)
+        state = params.bn_state[0]
+        np.testing.assert_allclose(state.running_mean, [0.1 * conv.mean()],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(state.running_var, [0.9 + 0.1 * conv.var()],
+                                   rtol=1e-12)
+
     def test_shape_mismatch(self, rng):
         params = make_unit("1d")
         with pytest.raises(T.ShapeError):

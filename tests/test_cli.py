@@ -159,6 +159,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ('learning_rate = 0.001', 'kind = "rmsprop"',
+         "optimizer: unknown optimizer kind"),
+        ("kernel_size = 3", "kernel_size = 4",
+         "aggregator: kernel size must be odd"),
+    ])
+    def test_dataclass_check_exits_2(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
+        assert main(["run", "--config", cfg, "--dry-run"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.toml")]) == 2
 
@@ -245,4 +256,5 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+        assert "[PASS] batched conv2d matches direct loop" in out

@@ -159,6 +159,19 @@ class TestImagePathway:
                 Bag("b", [insts[i] for i in perm], [1.0])).probs.item()
             assert abs(got - ref) < 1e-9
 
+    def test_batched_backbone_matches_per_instance_extract(self, rng):
+        model = build_model("image", AggregatorSpec(kind="hamil", kernel_size=3),
+                            image_size=8, seed=3)
+        bag = self.img_bag(rng, m=4)
+        feats = [model._extract(img) for img in bag.instances]
+        aggregated, _ = model._aggregate(feats, [f.data.ravel() for f in feats],
+                                         False, None)
+        logits = aggregated.data.mean(axis=(1, 2)) @ model.head_w.data \
+            + model.head_b.data
+        ref = 1.0 / (1.0 + np.exp(-logits))
+        np.testing.assert_allclose(model.forward_bag(bag).probs.data, ref,
+                                   rtol=0, atol=1e-12)
+
     def test_gradient_reaches_conv_backbone(self, rng):
         model = build_model("image", AggregatorSpec(kind="hamil", kernel_size=3),
                             image_size=8, seed=1)

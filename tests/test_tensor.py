@@ -6,6 +6,7 @@ import pytest
 from hamil import tensor as T
 from hamil.tensor import Tensor
 
+from hamil import oracles
 from hamil.oracles import numeric_grad, relative_error
 
 
@@ -96,6 +97,75 @@ class TestConv2d:
         grad_check(lambda t: T.sum_all(T.conv2d(t, Tensor(w), Tensor(b), 3)), x)
         grad_check(lambda t: T.sum_all(T.conv2d(Tensor(x), t, Tensor(b), 3)), w)
         grad_check(lambda t: T.sum_all(T.conv2d(Tensor(x), Tensor(w), t, 3)), b)
+
+    def test_3d_input_pinned(self):
+        # values and gradients of the one-sample conv2d, pinned bit for bit
+        x = Tensor(np.arange(18.0).reshape(2, 3, 3) / 7, requires_grad=True)
+        w = Tensor((np.arange(36.0).reshape(2, 2, 3, 3) - 17.5) / 13,
+                   requires_grad=True)
+        out = T.conv2d(x, w, Tensor([0.25, -0.5]), padding=1)
+        g = Tensor(np.arange(18.0).reshape(2, 3, 3) / 3)
+        T.sum_all(T.mul(out, g)).backward()
+        np.testing.assert_array_equal(out.data.ravel(), [
+            -1.7499999999999998, -3.618131868131868, -3.024725274725275,
+            -5.222527472527472, -9.557692307692307, -7.53021978021978,
+            -6.101648351648351, -10.541208791208788, -7.903846153846153,
+            7.7857142857142865, 12.247252747252748, 8.093406593406593,
+            13.016483516483516, 19.956043956043956, 13.08241758241758,
+            8.18131868131868, 12.445054945054945, 7.96153846153846])
+        np.testing.assert_array_equal(x.grad.ravel(), [
+            -0.8717948717948718, -1.358974358974358, -0.6666666666666665,
+            -1.769230769230769, -2.038461538461537, -0.5384615384615368,
+            0.974358974358974, 2.333333333333334, 2.4102564102564106,
+            11.128205128205128, 18.025641025641026, 13.179487179487179,
+            20.384615384615383, 33.269230769230774, 24.384615384615387,
+            18.51282051282051, 30.025641025641022, 21.794871794871796])
+        np.testing.assert_array_equal(w.grad.ravel()[:9], [
+            2.761904761904762, 4.761904761904762, 3.333333333333333,
+            6.285714285714285, 9.714285714285714, 6.285714285714285,
+            3.333333333333333, 4.761904761904762, 2.761904761904762])
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_batch_axes_match_oracle_and_loop(self, rng, lead):
+        x = rng.standard_normal(lead + (2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal(3)
+        G = rng.standard_normal(lead + (3, 6, 6))
+
+        def run(xv, Gv):
+            leaves = [Tensor(v, requires_grad=True) for v in (xv, w, b)]
+            out = T.conv2d(*leaves, padding=1)
+            T.sum_all(T.mul(out, Tensor(Gv))).backward()
+            return out.data, [t.grad for t in leaves]
+
+        out, (gx, gw, gb) = run(x, G)
+        np.testing.assert_allclose(out, oracles.loop_conv2d(x, w, b, 1),
+                                   rtol=0, atol=1e-12)
+        loop_gw, loop_gb = np.zeros_like(w), np.zeros_like(b)
+        for n in np.ndindex(*lead):
+            out_n, (gx_n, gw_n, gb_n) = run(x[n], G[n])
+            np.testing.assert_allclose(out[n], out_n, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gx[n], gx_n, rtol=0, atol=1e-12)
+            loop_gw += gw_n
+            loop_gb += gb_n
+        np.testing.assert_allclose(gw, loop_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gb, loop_gb, rtol=0, atol=1e-12)
+
+    def test_batch_gradients_match_oracle_differences(self, rng):
+        # the oracle is linear in x and w, so central differences are exact
+        # up to rounding
+        x = rng.standard_normal((2, 1, 4, 4))
+        w = rng.standard_normal((2, 1, 3, 3))
+        b = rng.standard_normal(2)
+        G = rng.standard_normal((2, 2, 4, 4))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        T.sum_all(T.mul(T.conv2d(xt, wt, Tensor(b), 1), Tensor(G))).backward()
+        num_x = numeric_grad(
+            lambda v: float(np.sum(G * oracles.loop_conv2d(v, w, b, 1))), x)
+        num_w = numeric_grad(
+            lambda v: float(np.sum(G * oracles.loop_conv2d(x, v, b, 1))), w)
+        assert relative_error(xt.grad, num_x) < 1e-6
+        assert relative_error(wt.grad, num_w) < 1e-6
 
 
 class TestPointwiseAndReduce:
@@ -263,6 +333,14 @@ class TestStackConcatGetitem:
     def test_maxpool2d_grad(self, rng):
         x = rng.standard_normal((2, 4, 4))
         grad_check(lambda t: T.sum_all(T.maxpool2d(t, 2)), x)
+
+    def test_maxpool2d_batch_axes_grad(self, rng):
+        x = rng.standard_normal((3, 2, 4, 4))
+        out = T.maxpool2d(Tensor(x), 2)
+        assert out.data.shape == (3, 2, 2, 2)
+        np.testing.assert_array_equal(out.data[1], T.maxpool2d(Tensor(x[1]), 2).data)
+        G = rng.standard_normal((3, 2, 2, 2))
+        grad_check(lambda t: T.sum_all(T.mul(T.maxpool2d(t, 2), Tensor(G))), x)
 
 
 class TestPrecisionAndDeterminism:

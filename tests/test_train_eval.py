@@ -252,6 +252,10 @@ class TestRunCv:
         assert (self.small_spec(precision="f32").config_hash()
                 != self.small_spec(precision="f64").config_hash())
 
+    def test_workers_left_out_of_config_hash(self):
+        assert (self.small_spec(workers=1).config_hash()
+                == self.small_spec(workers=2).config_hash())
+
     @pytest.mark.parametrize("precision,dtype", [("f32", np.float32),
                                                  ("f64", np.float64)])
     def test_run_fold_trains_in_spec_precision(self, monkeypatch, precision,
