@@ -173,7 +173,18 @@ def _replay(instances: Sequence[Tensor], queue: MergeQueue, merge_fn) -> Tensor:
 
 def hamil_aggregate(instances: Sequence[Tensor], queue: MergeQueue,
                     params: AggUnitParams, training: bool = False) -> Tensor:
-    """Replay the merge queue through the shared conv unit."""
+    """Replay the merge queue through the shared conv unit.
+
+    The 1-layer 1-D unit without batchnorm is one conv1d per merge, so the
+    whole queue replays as a single `conv1d_replay` node, bit-identical to
+    the per-merge `aggregate_pair` tape that every other unit builds.
+    """
+    if params.mode == "1d" and params.layers == 1 and not params.bn_state \
+            and len(instances) > 1:
+        queue.validate(len(instances))
+        return T.conv1d_replay(instances, [t.left - 1 for t in queue],
+                               [t.right - 1 for t in queue], params.weights[0],
+                               params.biases[0])
     return _replay(instances, queue,
                    lambda a, b: aggregate_pair(a, b, params, training))
 

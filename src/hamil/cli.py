@@ -22,12 +22,14 @@ from typing import Any, Dict
 import numpy as np
 
 from . import oracles
-from .aggregators import AGGREGATOR_KINDS, AggregatorSpec
+from .aggregators import (AGGREGATOR_KINDS, AggregatorSpec, AggUnitParams,
+                          aggregate_pair, hamil_aggregate)
 from .hierclust import build_hierarchy
 from .data import (CONVERTERS, Bag, DataFormatError, MotifSpec, load_bag_csv,
                    save_bag_csv, synth_image_bags)
 from .models import ImagePathwayModel, load_model
-from .tensor import Tensor, bce_loss, conv2d, fully_connected, sigmoid
+from .tensor import (Tensor, bce_loss, conv2d, fully_connected, mul, sigmoid,
+                     sum_all)
 from .train_eval import (OptimizerConfig, RunSpec, TrainingDivergedError,
                          auc_score, run_cv)
 
@@ -291,7 +293,7 @@ def cmd_scores(args) -> int:
 def cmd_selftest(args) -> int:
     """Fast sanity suite: autodiff vs finite differences, clustering vs a
     literal re-scan agglomerator, AUC vs the pairwise oracle, batched conv2d
-    vs a literal loop."""
+    vs a literal loop, the fused 1-D merge replay vs the per-merge tape."""
     failures = 0
 
     def report(name, ok):
@@ -343,6 +345,31 @@ def cmd_selftest(args) -> int:
     report("batched conv2d matches direct loop",
            np.allclose(fast, oracles.loop_conv2d(x, w, b, padding=1),
                        rtol=0, atol=1e-12))
+
+    unit = AggUnitParams(AggregatorSpec(kernel_size=3), "1d", rng)
+    # four separated clusters of four: merges with a merge on each side,
+    # where the kernel gradient's summation order shows
+    feats = 4 * rng.standard_normal((4, 8))[np.arange(16) % 4] \
+        + rng.standard_normal((16, 8))
+    queue = build_hierarchy(feats)
+    g = Tensor(rng.standard_normal(8))
+    params = list(unit.named_params().values())
+    runs = []
+    for fused in (True, False):
+        xs = [Tensor(f, requires_grad=True) for f in feats]
+        for p in params:
+            p.grad = None
+        if fused:
+            out = hamil_aggregate(xs, queue, unit)
+        else:
+            slots = dict(enumerate(xs, start=1))
+            for t in queue:
+                out = slots[t.new] = aggregate_pair(
+                    slots.pop(t.left), slots.pop(t.right), unit)
+        sum_all(mul(out, g)).backward()
+        runs.append([a.tobytes() for a in (out.data, *(x.grad for x in xs),
+                                           *(p.grad for p in params))])
+    report("fused merge replay matches per-merge tape", runs[0] == runs[1])
 
     return 1 if failures else 0
 

@@ -1,7 +1,8 @@
 """Minimal dense tensor with reverse-mode automatic differentiation.
 
 Covers exactly the operations the aggregation networks need: affine layers,
-1D/2D cross-correlation, pointwise nonlinearities, dropout, batchnorm,
+1D/2D cross-correlation, a tree of 1-D pair merges as one node
+(conv1d_replay), pointwise nonlinearities, dropout, batchnorm,
 reductions (max/mean/sum/log-sum-exp), stacking/concatenation, and BCE loss.
 conv2d and maxpool2d take leading batch axes (x[..., C, H, W]); otherwise
 no broadcasting beyond scalars, no higher-order derivatives, CPU only.
@@ -78,12 +79,6 @@ class Tensor:
             raise GraphError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph machinery -----------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -94,8 +89,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``.grad`` on every reachable requires_grad leaf.
 
-        Repeated calls without ``zero_grad`` accumulate, which the training
-        loop relies on for gradient accumulation across bags.
+        Repeated calls accumulate until ``.grad`` is reset to None, which the
+        training loop relies on for gradient accumulation across bags.
         """
         if self.data.size != 1:
             raise GraphError(
@@ -272,13 +267,12 @@ def log(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: surviving units scaled by 1/(1-rate) during training."""
+    """Inverted dropout: surviving units scaled by 1/(1-rate) during
+    training; x itself when it drops nothing."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def backward(g):
-            return [(x, g)]
-        return _node(x.data.copy(), (x,), backward)
+        return x
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
     keep = 1.0 - rate
@@ -451,18 +445,111 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
             f"conv1d: kernel size {k} exceeds padded length {L + 2 * padding}")
     xp = np.pad(x.data, ((0, 0), (padding, padding)))
     win = sliding_window_view(xp, k, axis=1)          # (Cin, L', k)
-    out = np.einsum("ilk,oik->ol", win, weight.data) + bias.data[:, None]
+    out = _conv1d_out(win, weight.data, bias.data)
 
     def backward(g):
-        gw = np.einsum("ilk,ol->oik", win, g)
-        gb = g.sum(axis=1)
         gp = np.pad(g, ((0, 0), (k - 1, k - 1)))
         gwin = sliding_window_view(gp, k, axis=1)     # (Cout, L'+k-1, k)
-        wf = weight.data[:, :, ::-1]
-        gx_p = np.einsum("olk,oik->il", gwin, wf)     # padded-x shape
+        gx_p = _conv1d_grad_input(gwin, weight.data)  # padded-x shape
         gx = gx_p[:, padding:padding + L] if padding else gx_p
-        return [(x, gx), (weight, gw), (bias, gb)]
+        return [(x, gx), (weight, _conv1d_grad_weight(win, g)),
+                (bias, g.sum(axis=1))]
     return _node(out, (x, weight, bias), backward)
+
+
+# conv1d's arithmetic, shared with conv1d_replay so both sum in one order
+
+
+def _conv1d_out(win, w, b):
+    """win[Cin, L', k] windows of the padded input against w[Cout, Cin, k]."""
+    return np.einsum("ilk,oik->ol", win, w) + b[:, None]
+
+
+def _conv1d_grad_weight(win, g):
+    return np.einsum("ilk,ol->oik", win, g)
+
+
+def _conv1d_grad_input(gwin, w):
+    """gwin[Cout, L'+k-1, k] windows of the (k-1)-padded output gradient
+    against the flipped kernel: the gradient of the padded input."""
+    return np.einsum("olk,oik->il", gwin, w[:, :, ::-1])
+
+
+def conv1d_replay(xs: Sequence[Tensor], lefts: Sequence[int],
+                  rights: Sequence[int], weight: Tensor, bias: Tensor) -> Tensor:
+    """A tree of 2->1 conv1d merges over vectors, as one graph node.
+
+    Slots 0..m-1 hold the (D,) vectors xs; merge j reads slots lefts[j] and
+    rights[j] as the two input channels of a length-preserving conv1d with
+    weight[1, 2, k] (k odd, padding k // 2) and writes slot m+j. Every slot
+    but the last is read exactly once, so the merges form one tree whose
+    root, the last merge, is returned.
+
+    Values and gradients equal, bit for bit, those of ``conv1d`` run merge
+    by merge on ``stack([left, right])``: the same einsums on windows of
+    the same layout, and the kernel and bias gradients summed in the order
+    ``Tensor.backward`` visits the per-merge nodes, which is pre-order from
+    the root (a merge, then its left subtree, then its right subtree).
+    """
+    xs = list(xs)
+    m, n = len(xs), len(xs) - 1
+    if n < 1 or len(lefts) != n or len(rights) != n:
+        raise ShapeError(
+            f"conv1d_replay: {m} inputs need {max(n, 0)} merges (at least 1), "
+            f"got {len(lefts)} lefts and {len(rights)} rights")
+    shapes = sorted({t.data.shape for t in xs})
+    if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
+        raise ShapeError(f"conv1d_replay: inputs must be equal-length "
+                         f"vectors, got shapes {shapes}")
+    (D,) = shapes[0]
+    if weight.data.ndim != 3 or weight.data.shape[:2] != (1, 2) \
+            or weight.data.shape[2] % 2 == 0:
+        raise ShapeError(
+            f"conv1d_replay: weight {weight.data.shape} must be (1, 2, k), k odd")
+    k = weight.data.shape[2]
+    padding = k // 2
+    if bias.data.shape != (1,):
+        raise ShapeError(f"conv1d_replay: bias {bias.data.shape}, expected (1,)")
+    # reader[s] = (merge, channel) that reads slot s; the root has none
+    reader_j = np.full(m + n, -1)
+    reader_c = np.zeros(m + n, dtype=np.intp)
+    for j, pair in enumerate(zip(lefts, rights)):
+        for c, s in enumerate(pair):
+            if not 0 <= s < m + j or reader_j[s] >= 0:
+                raise GraphError(f"conv1d_replay: merge {j} reads slot {s}, "
+                                 "which is unwritten or already read")
+            reader_j[s], reader_c[s] = j, c
+    cols = slice(padding, padding + D)
+    P = np.zeros((n, 2, D + 2 * padding), dtype=_DEFAULT_DTYPE)
+    P[reader_j[:m], reader_c[:m], cols] = np.stack([t.data for t in xs])
+    win = sliding_window_view(P, k, axis=2)           # (n, 2, D, k)
+    for j in range(n - 1):
+        P[reader_j[m + j], reader_c[m + j], cols] = \
+            _conv1d_out(win[j], weight.data, bias.data)[0]
+    out = _conv1d_out(win[n - 1], weight.data, bias.data)
+
+    def backward(g):
+        G = np.zeros((1, D + 2 * (k - 1)), dtype=g.dtype)
+        gwin = sliding_window_view(G, k, axis=1)      # (1, D+k-1, k)
+        gout = {n - 1: g.reshape(1, D)}
+        grads, gw, gb = [], None, None
+        todo = [n - 1]
+        while todo:
+            j = todo.pop()
+            gj = gout.pop(j)
+            gwj, gbj = _conv1d_grad_weight(win[j], gj), gj.sum(axis=1)
+            gw = gwj if gw is None else gw + gwj
+            gb = gbj if gb is None else gb + gbj
+            G[:, k - 1:k - 1 + D] = gj
+            gx = _conv1d_grad_input(gwin, weight.data)[:, cols]
+            for s, row in ((lefts[j], gx[0]), (rights[j], gx[1])):
+                if s < m:
+                    grads.append((xs[s], row))
+                else:
+                    gout[s - m] = row.reshape(1, D)
+            todo.extend(s - m for s in (rights[j], lefts[j]) if s >= m)
+        return grads + [(weight, gw), (bias, gb)]
+    return _node(out.reshape(D), (*xs, weight, bias), backward)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:

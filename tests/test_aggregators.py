@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from hamil import aggregators
 from hamil import tensor as T
 from hamil.aggregators import (AggregatorSpec, AggUnitParams, AttentionParams,
-                               aggregate, aggregate_pair, attention_aggregate,
-                               canonical_order, hamil_a_aggregate,
-                               hamil_aggregate, instance_scores, pool_aggregate,
-                               ramil_aggregate)
+                               _replay, aggregate, aggregate_pair,
+                               attention_aggregate, canonical_order,
+                               hamil_a_aggregate, hamil_aggregate,
+                               instance_scores, pool_aggregate, ramil_aggregate)
+from hamil.data import Bag
 from hamil.hierclust import MergeQueue, MergeTriplet, QueueIntegrityError, build_hierarchy
+from hamil.models import build_model
 from hamil.tensor import Tensor
+from hamil.train_eval import OptimizerConfig, train
 
 from hamil.oracles import numeric_grad, relative_error
 
@@ -149,6 +153,93 @@ class TestHamilReplay:
         bad = MergeQueue((MergeTriplet(1, 5, 6), MergeTriplet(2, 3, 7)))
         with pytest.raises(QueueIntegrityError):
             hamil_aggregate(xs, bad, make_unit())
+
+
+def generic_hamil(instances, queue, params, training=False):
+    """The per-merge tape: one aggregate_pair per merge."""
+    return _replay(instances, queue,
+                   lambda a, b: aggregate_pair(a, b, params, training))
+
+
+def replay_bytes(replay, X, params, g):
+    """Output, instance gradients and unit gradients of sum(g * replay), as
+    bytes."""
+    xs = [Tensor(row, requires_grad=True) for row in X]
+    for p in params.weights + params.biases:
+        p.grad = None
+    out = replay(xs, build_hierarchy(list(X)), params)
+    T.sum_all(T.mul(out, Tensor(g))).backward()
+    return [a.tobytes() for a in (out.data, *(x.grad for x in xs),
+                                  params.weights[0].grad, params.biases[0].grad)]
+
+
+ROWS = {
+    "gaussian": lambda rng, m, d: rng.standard_normal((m, d)),
+    # ReLU rows after dropout: many all-zero rows tie at distance 0
+    "sparse": lambda rng, m, d: np.maximum(rng.standard_normal((m, d)), 0.0)
+    * (rng.random((m, 1)) < 0.5),
+    "duplicated": lambda rng, m, d: rng.standard_normal((m // 3 + 1, d))[
+        rng.integers(0, m // 3 + 1, m)],
+    "integer": lambda rng, m, d: rng.integers(-2, 3, (m, d)).astype(float),
+    # separated clusters: merges with a merge on each side
+    "clustered": lambda rng, m, d: 4 * rng.standard_normal((4, d))[np.arange(m) % 4]
+    + rng.standard_normal((m, d)),
+}
+
+
+class TestFusedReplay:
+    """The shipped unit (1-D, one layer, no batchnorm) replays a queue as one
+    conv1d_replay node; it must equal the per-merge tape bit for bit."""
+
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_bit_identical_to_per_merge_tape(self, rows, k):
+        rng = np.random.default_rng([k, sorted(ROWS).index(rows)])
+        for m in (2, 3, 9, 31, 60):
+            d = int(rng.integers(1, 20))
+            X = ROWS[rows](rng, m, d)
+            params = make_unit("1d", k=k, seed=m)
+            g = rng.standard_normal(d)
+            assert replay_bytes(hamil_aggregate, X, params, g) \
+                == replay_bytes(generic_hamil, X, params, g)
+
+    def test_sgd_steps_bit_identical_to_generic_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        bags = [Bag(f"b{i}", list(ROWS["clustered"](rng, int(rng.integers(2, 16)), 6)),
+                    np.asarray([float(i % 2)])) for i in range(8)]
+
+        def trained():
+            # clustering without dropout keeps the input clusters, so the
+            # trees have merges with a merge on each side
+            model = build_model("vector", AggregatorSpec(kernel_size=3),
+                                feature_dim=6, seed=3, cluster_without_dropout=True)
+            train(model, bags, OptimizerConfig(learning_rate=0.01, epochs=3), seed=1)
+            return ([p.data.tobytes() for p in model.parameters().values()],
+                    [model.forward_bag(b).probs.data.tobytes() for b in bags])
+
+        fused = trained()
+        monkeypatch.setattr(aggregators, "hamil_aggregate", generic_hamil)
+        assert trained() == fused
+
+    @pytest.mark.parametrize("kind,spec_kw,mode,shape,merges", [
+        ("hamil", {}, "1d", (6,), 0),
+        ("hamil", {"layers": 2}, "1d", (6,), 4),
+        ("hamil", {"use_batchnorm": True}, "1d", (6,), 4),
+        ("hamil", {}, "2d", (2, 4, 4), 4),
+        ("ramil", {}, "1d", (6,), 4),
+    ])
+    def test_generic_path_for_other_units(self, monkeypatch, rng, kind, spec_kw,
+                                          mode, shape, merges):
+        calls = []
+        real = aggregators.aggregate_pair
+        monkeypatch.setattr(aggregators, "aggregate_pair",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        spec = AggregatorSpec(kind=kind, kernel_size=3, **spec_kw)
+        unit = AggUnitParams(spec, mode, np.random.default_rng(0))
+        xs = [Tensor(rng.standard_normal(shape)) for _ in range(5)]
+        out, _ = aggregate(xs, spec, unit=unit, rng=np.random.default_rng(0))
+        assert out.data.shape == shape
+        assert len(calls) == merges
 
 
 class TestHamilA:

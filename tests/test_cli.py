@@ -256,5 +256,6 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 5 and "[FAIL]" not in out
         assert "[PASS] batched conv2d matches direct loop" in out
+        assert "[PASS] fused merge replay matches per-merge tape" in out

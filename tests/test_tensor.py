@@ -77,6 +77,64 @@ class TestConv1d:
         grad_check(lambda t: T.sum_all(T.relu(T.conv1d(Tensor(x), Tensor(w), t, 3))), b)
 
 
+class TestConv1dReplay:
+    # slots 0-4 are inputs; merges write slots 5-8: 5=(0,3) 6=(1,2) 7=(5,4)
+    # 8=(6,7), so the root has a merge on each side
+    LEFTS, RIGHTS = [0, 1, 5, 6], [3, 2, 4, 7]
+
+    def per_merge(self, xs, w, b, padding):
+        slots = list(xs)
+        for left, right in zip(self.LEFTS, self.RIGHTS):
+            pair = T.stack([slots[left], slots[right]])
+            slots.append(T.reshape(T.conv1d(pair, w, b, padding), (-1,)))
+        return slots[-1]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bit_identical_to_per_merge_conv1d(self, rng, k):
+        X = rng.standard_normal((5, 7))
+        X[2] = 0.0
+        wv, bv, g = rng.standard_normal((1, 2, k)), rng.standard_normal(1), \
+            rng.standard_normal(7)
+        runs = []
+        for fused in (True, False):
+            xs = [Tensor(x, requires_grad=True) for x in X]
+            w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
+            out = T.conv1d_replay(xs, self.LEFTS, self.RIGHTS, w, b) \
+                if fused else self.per_merge(xs, w, b, k // 2)
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            runs.append([a.tobytes() for a in
+                         (out.data, *(x.grad for x in xs), w.grad, b.grad)])
+        assert runs[0] == runs[1]
+
+    def test_gradients_match_finite_differences(self, rng):
+        X = rng.standard_normal((5, 6))
+        w, b = rng.standard_normal((1, 2, 3)), rng.standard_normal(1)
+
+        def loss(xs, wt, bt):
+            out = T.conv1d_replay(xs, self.LEFTS, self.RIGHTS, wt, bt)
+            return T.sum_all(T.tanh(out))
+
+        rest = [Tensor(x) for x in X[1:]]
+        grad_check(lambda t: loss([t] + rest, Tensor(w), Tensor(b)), X[0])
+        grad_check(lambda t: loss([Tensor(x) for x in X], t, Tensor(b)), w)
+        grad_check(lambda t: loss([Tensor(x) for x in X], Tensor(w), t), b)
+
+    def test_malformed_tree_rejected(self):
+        xs = [Tensor(np.zeros(4)) for _ in range(3)]
+        w, b = Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1))
+        with pytest.raises(T.GraphError, match="slot 0"):
+            T.conv1d_replay(xs, [0, 0], [1, 2], w, b)      # read twice
+        with pytest.raises(T.GraphError, match="slot 4"):
+            T.conv1d_replay(xs, [0, 2], [1, 4], w, b)      # not yet written
+        with pytest.raises(T.ShapeError, match="merges"):
+            T.conv1d_replay(xs, [0], [1], w, b)
+        for shape in ((1, 1, 3), (1, 2, 2)):
+            with pytest.raises(T.ShapeError, match="weight"):
+                T.conv1d_replay(xs, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
+        with pytest.raises(T.ShapeError, match="vectors"):
+            T.conv1d_replay(xs[:2] + [Tensor(np.zeros(5))], [0, 2], [1, 3], w, b)
+
+
 class TestConv2d:
     def test_delta_kernel_identity(self, rng):
         x = rng.standard_normal((1, 3, 3))
