@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .hierclust import MergeQueue, QueueIntegrityError, build_hierarchy
+from .hierclust import (MergeQueue, QueueIntegrityError, build_hierarchy,
+                        feature_matrix)
 from .tensor import Tensor
 
 POOL_KINDS = ("max_pool", "mean_pool", "sum_pool", "lse_pool")
@@ -277,8 +278,7 @@ def canonical_order(features) -> np.ndarray:
     (and the left/right feed order of the conv units, which is not
     symmetric) is anchored to this canonical order rather than to the
     arbitrary presentation order."""
-    arr = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in features])
-    return np.lexsort(arr.T[::-1])
+    return np.lexsort(feature_matrix(features).T[::-1])
 
 
 def aggregate(instances: Sequence[Tensor], spec: AggregatorSpec,
@@ -290,17 +290,17 @@ def aggregate(instances: Sequence[Tensor], spec: AggregatorSpec,
     """Dispatch on the spec; returns (aggregated feature, queue or None).
 
     HAMIL kinds cluster on detached features (``cluster_features`` when
-    given, else the instance values), so no gradient flows through the
-    hierarchy construction; queue indices refer to canonical instance
-    order.
+    given, an (m, ...) array or one array per instance, else the instance
+    values), so no gradient flows through the hierarchy construction;
+    queue indices refer to canonical instance order.
     """
     kind = spec.kind
     if kind in ("hamil", "hamil_a"):
-        detached = cluster_features if cluster_features is not None \
-            else [inst.data for inst in instances]
-        order = canonical_order(detached)
+        X = feature_matrix(cluster_features if cluster_features is not None
+                           else [inst.data for inst in instances])
+        order = canonical_order(X)
         ordered = [instances[i] for i in order]
-        queue = build_hierarchy([detached[i] for i in order])
+        queue = build_hierarchy(X[order])
         if kind == "hamil":
             return hamil_aggregate(ordered, queue, unit, training), queue
         return hamil_a_aggregate(ordered, queue), queue

@@ -318,13 +318,18 @@ def cmd_selftest(args) -> int:
     report("autodiff matches finite differences", ok)
 
     ok = True
+    tie_rng = np.random.default_rng(1)
     for trial in range(50):
         m = int(rng.integers(1, 10))
-        feats = rng.standard_normal((m, 3))
-        queue = build_hierarchy(feats)
-        queue.validate(m)
-        ref = oracles.naive_single_link(feats)
-        ok = ok and [(t.left, t.right, t.new) for t in queue] == ref
+        # tied distances: integer features with duplicated and zero rows
+        ties = tie_rng.integers(0, 3, (m + 4, 3)).astype(float)
+        ties[tie_rng.integers(0, m + 4, 2)] = 0.0
+        ties[-2:] = ties[:2]
+        for feats in (rng.standard_normal((m, 3)), ties):
+            queue = build_hierarchy(feats)
+            queue.validate(len(feats))
+            ref = oracles.naive_single_link(feats)
+            ok = ok and [(t.left, t.right, t.new) for t in queue] == ref
     report("hierarchy matches literal agglomerator", ok)
 
     ok = True

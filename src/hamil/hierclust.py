@@ -3,7 +3,9 @@
 Builds the merge-triplet queue that fixes the aggregation order: clusters
 start as singletons with indices 1..m, every merge consumes the first
 minimal cross-cluster pair in ascending-index scan order (strict "<") and
-appends a triplet <left, right, new> with the fresh index max+1.
+appends a triplet <left, right, new> with the fresh index max+1. The
+merges are read off a minimum spanning tree of the instance distances,
+with tied heights resolved by that same scan rule (`build_hierarchy`).
 
 Clustering is combinatorial: no gradients flow through it, callers pass
 detached feature arrays.
@@ -11,12 +13,14 @@ detached feature arrays.
 
 from __future__ import annotations
 
+import itertools
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from operator import itemgetter
 
 import numpy as np
+
+_BLOCK_BYTES = 2 << 20     # difference buffer of `distance_matrix`
 
 
 class EmptyBagError(ValueError):
@@ -80,19 +84,11 @@ class MergeQueue:
             next_index += 1
 
 
-def pairwise_instance_distance(a, b) -> float:
-    """Euclidean distance between two equal-length feature vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    # same reduction as the matrix path below, so cluster distances match
-    # instance distances bit for bit
-    return float(np.sqrt(np.sum(d * d)))
-
-
-def _feature_matrix(features) -> np.ndarray:
+def feature_matrix(features) -> np.ndarray:
+    """One float64 row per instance: an (m, ...) array is reshaped to
+    (m, D), a sequence of arrays is flattened and stacked."""
+    if isinstance(features, np.ndarray):
+        return features.astype(np.float64, copy=False).reshape(len(features), -1)
     F = [np.asarray(f, dtype=np.float64).ravel() for f in features]
     dim = F[0].shape[0]
     for i, f in enumerate(F):
@@ -102,70 +98,134 @@ def _feature_matrix(features) -> np.ndarray:
     return np.stack(F)
 
 
+def distance_matrix(F: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of F as sqrt(sum(diff*diff)),
+    the arithmetic of `oracles.pairwise_instance_distance`. Each block of
+    rows is computed against itself and the rows after it, so that the
+    (rows, m, D) difference buffer stays near 2 MB, and mirrored: d(j, i)
+    sums the same squares in the same order as d(i, j)."""
+    m, dim = F.shape
+    rows = min(m, max(1, _BLOCK_BYTES // (8 * m * max(dim, 1))))
+    buf = np.empty((rows, m, dim))
+    D = np.empty((m, m))
+    with np.errstate(over="ignore"):         # an overflow is a tie at inf
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            diff = buf[:e - s, :m - s]
+            np.subtract(F[s:e, None, :], F[None, s:, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sqrt(np.sum(diff, axis=-1), out=D[s:e, s:])
+            D[e:, s:e] = D[s:e, e:].T
+    return D
+
+
+def _prim(D: np.ndarray):
+    """Minimum spanning tree of the complete graph D by Prim's algorithm:
+    (weight, u, v) of its m-1 edges, v being the vertex each step adds.
+    Which of several equal-weight edges it takes is arbitrary, so
+    `build_hierarchy` uses only the weights of tied edges."""
+    m = D.shape[0]
+    best = D[0].copy()               # distance of each vertex to the tree
+    src = np.zeros(m, dtype=np.intp)
+    out = np.ones(m, dtype=bool)     # not yet in the tree
+    out[0], best[0] = False, np.inf
+    edges = []
+    for _ in range(m - 1):
+        v = int(best.argmin())
+        if not out[v]:               # all remaining vertices at inf
+            v = int(out.argmax())
+        edges.append((float(best[v]), int(src[v]), v))
+        out[v], best[v] = False, np.inf
+        row = D[v]
+        closer = row < best
+        closer &= out
+        np.putmask(best, closer, row)
+        np.putmask(src, closer, v)
+    return edges
+
+
 def build_hierarchy(features) -> MergeQueue:
     """Agglomerate m instance embeddings into a merge queue of length m-1.
 
-    Scan order is i ascending then j ascending over active clusters ordered
-    by index; a pair wins only with a strictly smaller distance, so the
-    first minimal pair in scan order is merged. Cluster distances are
-    maintained incrementally via min(d(.,C1), d(.,C2)), which is exactly
-    the min over cross pairs, so results are bit-identical to the naive
-    rescan.
+    The merges are those of the naive rescan (`oracles.naive_single_link`):
+    each step merges the first minimal cluster pair in scan order, i
+    ascending then j ascending, with a strict "<". Single-link merge
+    heights are the weights of a minimum spanning tree, so one tree is
+    built (Prim) and its edges are replayed by ascending weight. A weight
+    carried by one tree edge names its cluster pair. A weight h carried by
+    several is resolved by the scan rule itself: every instance pair at
+    exactly h across clusters is a tie edge, and the smallest (i, j)
+    cluster pair among them is merged until none is left.
     """
     m = len(features)
     if m == 0:
         raise EmptyBagError("cannot build a hierarchy for an empty bag")
-    F = _feature_matrix(features)
-    if m == 1:
-        return MergeQueue(())
+    F = feature_matrix(features)
+    bad = ~np.isfinite(F).all(axis=1)
+    if bad.any():
+        raise ValueError(f"instance {int(bad.argmax())} has a non-finite "
+                         "feature value")
+    D = distance_matrix(F)
 
-    total = 2 * m - 1
-    D = np.full((total, total), np.inf)
-    for i in range(m):
-        diff = F - F[i]
-        D[i, :m] = np.sqrt(np.sum(diff * diff, axis=1))
-    np.fill_diagonal(D, np.inf)
-
-    # nn_val[i]: min distance from cluster i to any active cluster with a
-    # larger index; nn_j[i]: the smallest such index attaining it.
-    nn_val = np.full(total, np.inf)
-    nn_j = np.full(total, -1, dtype=np.int64)
-    for i in range(m - 1):
-        row = D[i, i + 1:m]
-        k = int(np.argmin(row))
-        nn_val[i] = row[k]
-        nn_j[i] = i + 1 + k
-
-    active: List[int] = list(range(m))  # always sorted ascending
+    # 0-based labels; parent[c] == c for every live cluster, and a merged
+    # cluster points at the one it went into, which has a larger label
+    parent = list(range(2 * m - 1))
     triplets = []
-    for step in range(m - 1):
-        act = np.asarray(active)
-        a = active[int(np.argmin(nn_val[act]))]  # first row with minimal value
-        b = int(nn_j[a])
-        c = m + step
-        active.remove(a)
-        active.remove(b)
-        rest = np.asarray(active)
-        if rest.size:
-            merged = np.minimum(D[rest, a], D[rest, b])
-            D[rest, c] = merged
-            D[c, rest] = merged
-        active.append(c)
-        nn_val[c] = np.inf
-        nn_j[c] = -1
-        if rest.size:
-            # rows whose cached minimum pointed at a consumed cluster must
-            # rescan; others only check the new cluster (index c is the
-            # largest, so on ties the cached smaller index stands).
-            stale = rest[(nn_j[rest] == a) | (nn_j[rest] == b)]
-            for i in stale.tolist():
-                js = active[bisect_right(active, i):]
-                row = D[i, js]
-                k = int(np.argmin(row))
-                nn_val[i] = row[k]
-                nn_j[i] = js[k]
-            fresh = D[rest, c] < nn_val[rest]
-            nn_val[rest[fresh]] = D[rest[fresh], c]
-            nn_j[rest[fresh]] = c
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def merge(a, b):
+        c = m + len(triplets)
+        parent[a] = parent[b] = c
         triplets.append(MergeTriplet(a + 1, b + 1, c + 1))
+        return c
+
+    edges = sorted(_prim(D))
+    ties = _tie_instances(D, sorted({w for (w, *_), (x, *_)
+                                     in zip(edges, edges[1:]) if w == x}))
+    for h, group in itertools.groupby(edges, key=itemgetter(0)):
+        (_, u, v), *more = group
+        if not more:
+            a, b = find(u), find(v)
+            merge(min(a, b), max(a, b))
+            continue
+        # The smallest (i, j) pair has i = the smallest live cluster with a
+        # tie neighbour and j = that cluster's smallest neighbour. A merge
+        # leaves the smaller clusters isolated and takes the largest label,
+        # so i only ascends: one sweep over the labels, the new ones
+        # appended as they are made, finds every merge in order.
+        inst = ties[h]                       # the instances with a tie at h
+        label = np.array([find(x) for x in inst.tolist()])
+        tied = D[np.ix_(inst, inst)] == h
+        sweep = np.unique(label).tolist()
+        for a in sweep:
+            if parent[a] != a:
+                continue
+            members = label == a
+            near = np.unique(label[tied[members].any(axis=0)])
+            near = near[near != a]
+            if near.size:
+                b = int(near[0])
+                c = merge(a, b)
+                label[members | (label == b)] = c
+                sweep.append(c)
     return MergeQueue(tuple(triplets))
+
+
+def _tie_instances(D: np.ndarray, weights) -> dict:
+    """{h: the instances with another instance at distance exactly h},
+    for each h in weights, from one pass over D."""
+    if not weights:
+        return {}
+    hit = np.isin(D, weights)
+    np.fill_diagonal(hit, False)
+    h = D[hit]                                         # in row-major order
+    rows = np.repeat(np.arange(len(D)), hit.sum(axis=1))
+    return {w: np.flatnonzero(np.bincount(rows[h == w], minlength=len(D)))
+            for w in weights}

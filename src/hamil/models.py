@@ -121,10 +121,9 @@ class VectorPathwayModel(_BaseModel):
         H = self._feature_stack(Tensor(X), training, rng)   # (m, 64)
         feats = [H[i] for i in range(len(bag.instances))]
         if training and self.cluster_without_dropout and self.spec.needs_queue:
-            clean = self._feature_stack(Tensor(X), False, None)
-            cluster_feats = [row for row in clean.data]
+            cluster_feats = self._feature_stack(Tensor(X), False, None).data
         else:
-            cluster_feats = [f.data for f in feats]
+            cluster_feats = H.data
         aggregated, queue = self._aggregate(feats, cluster_feats, training, rng)
         logits = T.fully_connected(T.reshape(aggregated, (1, -1)),
                                    self.head_w, self.head_b)
@@ -189,8 +188,7 @@ class ImagePathwayModel(_BaseModel):
                     f"expects {(self.in_channels, s, s)}")
         H = self._extract(np.stack(imgs))                   # (m, C, s/4, s/4)
         feats = [H[i] for i in range(len(imgs))]
-        cluster_feats = [f.data.ravel() for f in feats]
-        aggregated, queue = self._aggregate(feats, cluster_feats, training, rng)
+        aggregated, queue = self._aggregate(feats, H.data, training, rng)
         pooled = T.reduce(T.reduce(aggregated, "mean", axis=2), "mean", axis=1)
         logits = T.fully_connected(T.reshape(pooled, (1, -1)),
                                    self.head_w, self.head_b)

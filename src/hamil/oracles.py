@@ -3,8 +3,10 @@
 Brute-force single link, the quadratic pairwise AUC, a literal-loop 2-D
 cross-correlation and central finite differences share no code with the
 library routines they check (`hierclust.build_hierarchy`,
-`train_eval.auc_score`, `tensor.conv2d`, `Tensor.backward`).
-`hamil selftest` and the test suite both use them.
+`train_eval.auc_score`, `tensor.conv2d`, `Tensor.backward`). The
+instance and cluster distances restate, one pair at a time, the
+arithmetic of `hierclust.distance_matrix`. `hamil selftest` and the test
+suite both use them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import numpy as np
 
 def naive_single_link(features):
     """Literal agglomerator: rescan every cluster pair each round, strict
-    '<' over ascending indices, no caching. Pure Python arithmetic."""
+    '<' over ascending indices, no caching. Pure Python arithmetic; a
+    distance that overflows is inf and ties like any other."""
+
+    def dist(p, q):
+        diffs = [float(x) - float(y) for x, y in zip(features[p], features[q])]
+        return math.sqrt(sum(d * d for d in diffs))   # d ** 2 would raise
+
     m = len(features)
     clusters = {i + 1: [i] for i in range(m)}
     next_idx = m
@@ -29,10 +37,7 @@ def naive_single_link(features):
         for a_pos in range(len(idxs) - 1):
             for b_pos in range(a_pos + 1, len(idxs)):
                 a, b = idxs[a_pos], idxs[b_pos]
-                d = min(
-                    math.sqrt(sum((float(x) - float(y)) ** 2
-                                  for x, y in zip(features[p], features[q])))
-                    for p in clusters[a] for q in clusters[b])
+                d = min(dist(p, q) for p in clusters[a] for q in clusters[b])
                 if best is None or d < best[0]:
                     best = (d, a, b)
         _, a, b = best
@@ -40,6 +45,18 @@ def naive_single_link(features):
         clusters[next_idx] = clusters.pop(a) + clusters.pop(b)
         triplets.append((a, b, next_idx))
     return triplets
+
+
+def pairwise_instance_distance(a, b) -> float:
+    """Euclidean distance between two equal-length feature vectors, with
+    the reduction `hierclust.distance_matrix` uses, so the two agree bit
+    for bit."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    d = a - b
+    return float(np.sqrt(np.sum(d * d)))
 
 
 def cluster_distance(A: Sequence[int], B: Sequence[int], features) -> float:
