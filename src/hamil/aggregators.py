@@ -1,16 +1,17 @@
 """Aggregation mechanisms: trainable pairwise conv units, hierarchical and
 random-order replay, elementwise-mean ablation, pooling, and attention.
 
-Every aggregator maps a list of equal-shape instance features to a single
-feature of that shape. The conv units come in 1-D (length-D vectors, used
-for the classic benchmarks) and 2-D (C x H x W feature maps) modes; one
-shared parameter set is reused by every merge step.
+Every aggregator maps a bag, one (m, ...) tensor X whose row i is instance
+i's feature, to a single feature of the row shape. The conv units come in
+1-D (length-D vectors, used for the classic benchmarks) and 2-D (C x H x W
+feature maps) modes; one shared parameter set is reused by every merge
+step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -156,12 +157,13 @@ def _mean_pair(a: Tensor, b: Tensor) -> Tensor:
     return (a + b) * Tensor(0.5)
 
 
-def _replay(instances: Sequence[Tensor], queue: MergeQueue, merge_fn) -> Tensor:
-    m = len(instances)
+def _replay(X: Tensor, queue: MergeQueue, merge_fn, order=None) -> Tensor:
+    """Run merge_fn once per merge; queue leaf i reads row order[i-1] of X
+    (row i-1 when order is None)."""
+    m = X.data.shape[0]
     queue.validate(m)
-    if m == 1:
-        return instances[0]
-    slots = {i + 1: inst for i, inst in enumerate(instances)}
+    rows = range(m) if order is None else order
+    slots = {i + 1: X[r] for i, r in enumerate(rows)}
     for t in queue:
         try:
             left, right = slots.pop(t.left), slots.pop(t.right)
@@ -172,52 +174,58 @@ def _replay(instances: Sequence[Tensor], queue: MergeQueue, merge_fn) -> Tensor:
     return result
 
 
-def hamil_aggregate(instances: Sequence[Tensor], queue: MergeQueue,
-                    params: AggUnitParams, training: bool = False) -> Tensor:
-    """Replay the merge queue through the shared conv unit.
+def hamil_aggregate(X: Tensor, queue: MergeQueue, params: AggUnitParams,
+                    training: bool = False, order=None) -> Tensor:
+    """Replay the merge queue through the shared conv unit; queue leaf i
+    reads row order[i-1] of X (row i-1 when order is None).
 
     The 1-layer 1-D unit without batchnorm is one conv1d per merge, so the
-    whole queue replays as a single `conv1d_replay` node, bit-identical to
-    the per-merge `aggregate_pair` tape that every other unit builds.
+    whole queue replays as a single `conv1d_replay` node on X, bit-identical
+    to the per-merge `aggregate_pair` tape that every other unit builds on
+    one getitem row per leaf.
     """
+    m = X.data.shape[0]
     if params.mode == "1d" and params.layers == 1 and not params.bn_state \
-            and len(instances) > 1:
-        queue.validate(len(instances))
-        return T.conv1d_replay(instances, [t.left - 1 for t in queue],
-                               [t.right - 1 for t in queue], params.weights[0],
-                               params.biases[0])
-    return _replay(instances, queue,
-                   lambda a, b: aggregate_pair(a, b, params, training))
+            and m > 1:
+        queue.validate(m)
+        # queue index s is conv1d_replay's slot[s - 1]: a leaf's row of X,
+        # or the output of merge s - m - 1
+        slot = (list(range(m)) if order is None else list(order)) \
+            + list(range(m, 2 * m - 1))
+        return T.conv1d_replay(X, [slot[t.left - 1] for t in queue],
+                               [slot[t.right - 1] for t in queue],
+                               params.weights[0], params.biases[0])
+    return _replay(X, queue, lambda a, b: aggregate_pair(a, b, params, training),
+                   order)
 
 
-def hamil_a_aggregate(instances: Sequence[Tensor], queue: MergeQueue) -> Tensor:
+def hamil_a_aggregate(X: Tensor, queue: MergeQueue, order=None) -> Tensor:
     """Hierarchy replay with parameter-free elementwise-mean merges."""
-    return _replay(instances, queue, _mean_pair)
+    return _replay(X, queue, _mean_pair, order)
 
 
-def ramil_aggregate(instances: Sequence[Tensor], rng: np.random.Generator,
+def ramil_aggregate(X: Tensor, rng: np.random.Generator,
                     params: AggUnitParams, training: bool = False) -> Tensor:
     """Left-deep fold over a uniformly random instance permutation."""
-    m = len(instances)
+    m = X.data.shape[0]
     if m == 0:
         raise ValueError("ramil_aggregate on an empty bag")
-    order = rng.permutation(m)
-    acc = instances[order[0]]
+    order = rng.permutation(m).tolist()
+    acc = X[order[0]]
     for i in order[1:]:
-        acc = aggregate_pair(acc, instances[i], params, training)
+        acc = aggregate_pair(acc, X[i], params, training)
     return acc
 
 
-def pool_aggregate(instances: Sequence[Tensor], kind: str, r: float = 1.0) -> Tensor:
-    """Elementwise max/mean/sum/lse reduction across instances."""
-    if not instances:
+def pool_aggregate(X: Tensor, kind: str, r: float = 1.0) -> Tensor:
+    """Elementwise max/mean/sum/lse reduction across instances (axis 0)."""
+    if X.data.shape[0] == 0:
         raise ValueError("pool_aggregate on an empty bag")
-    stacked = T.stack(list(instances), axis=0)
     op = {"max_pool": "max", "mean_pool": "mean",
           "sum_pool": "sum", "lse_pool": "lse"}.get(kind)
     if op is None:
         raise ValueError(f"unknown pooling kind: {kind!r}")
-    return T.reduce(stacked, op, axis=0, r=r)
+    return T.reduce(X, op, axis=0, r=r)
 
 
 class AttentionParams:
@@ -237,33 +245,31 @@ class AttentionParams:
         return out
 
 
-def attention_aggregate(instances: Sequence[Tensor],
-                        params: AttentionParams) -> Tensor:
+def attention_aggregate(X: Tensor, params: AttentionParams) -> Tensor:
     """Softmax-weighted sum: a_i from w . tanh(V x_i), optionally gated by
     sigmoid(U x_i)."""
-    if not instances:
+    if X.data.ndim != 2:
+        raise T.ShapeError(
+            f"attention operates on (m, D) vectors, got shape {X.data.shape}")
+    m, dim = X.data.shape
+    if m == 0:
         raise ValueError("attention_aggregate on an empty bag")
-    for inst in instances:
-        if inst.data.ndim != 1:
-            raise T.ShapeError(
-                f"attention operates on vectors, got shape {inst.data.shape}")
-    X = T.stack(list(instances), axis=0)            # (m, D)
     h = T.tanh(T.matmul(X, params.V))               # (m, hidden)
     if params.gated:
         h = T.mul(h, T.sigmoid(T.matmul(X, params.U)))
-    scores = T.reshape(T.matmul(h, params.w), (len(instances),))
+    scores = T.reshape(T.matmul(h, params.w), (m,))
     weights = T.softmax(scores)                     # (m,), sums to 1
-    out = T.matmul(T.reshape(weights, (1, len(instances))), X)
-    return T.reshape(out, (X.data.shape[1],))
+    out = T.matmul(T.reshape(weights, (1, m)), X)
+    return T.reshape(out, (dim,))
 
 
-def instance_scores(instances: Sequence[Tensor], aggregated: Tensor) -> List[float]:
-    """Cosine similarity of each instance feature to the aggregated feature."""
+def instance_scores(X: Tensor, aggregated: Tensor) -> List[float]:
+    """Cosine similarity of each row of X to the aggregated feature."""
     agg = np.asarray(aggregated.data, dtype=np.float64).ravel()
     na = np.linalg.norm(agg)
     scores = []
-    for inst in instances:
-        v = np.asarray(inst.data, dtype=np.float64).ravel()
+    for row in X.data:
+        v = np.asarray(row, dtype=np.float64).ravel()
         nv = np.linalg.norm(v)
         if na == 0.0 or nv == 0.0:
             scores.append(0.0)
@@ -281,38 +287,38 @@ def canonical_order(features) -> np.ndarray:
     return np.lexsort(feature_matrix(features).T[::-1])
 
 
-def aggregate(instances: Sequence[Tensor], spec: AggregatorSpec,
+def aggregate(X: Tensor, spec: AggregatorSpec,
               unit: Optional[AggUnitParams] = None,
               attn: Optional[AttentionParams] = None,
               rng: Optional[np.random.Generator] = None,
               training: bool = False,
               cluster_features=None):
-    """Dispatch on the spec; returns (aggregated feature, queue or None).
+    """Dispatch on the spec for the bag X[m, ...]; returns (aggregated
+    feature, queue or None).
 
     HAMIL kinds cluster on detached features (``cluster_features`` when
-    given, an (m, ...) array or one array per instance, else the instance
-    values), so no gradient flows through the hierarchy construction;
-    queue indices refer to canonical instance order.
+    given, an (m, ...) array or one array per instance, else X.data), so no
+    gradient flows through the hierarchy construction; queue indices refer
+    to canonical instance order.
     """
     kind = spec.kind
     if kind in ("hamil", "hamil_a"):
-        X = feature_matrix(cluster_features if cluster_features is not None
-                           else [inst.data for inst in instances])
-        order = canonical_order(X)
-        ordered = [instances[i] for i in order]
-        queue = build_hierarchy(X[order])
+        F = feature_matrix(X.data if cluster_features is None
+                           else cluster_features)
+        order = canonical_order(F).tolist()
+        queue = build_hierarchy(F[order])
         if kind == "hamil":
-            return hamil_aggregate(ordered, queue, unit, training), queue
-        return hamil_a_aggregate(ordered, queue), queue
+            return hamil_aggregate(X, queue, unit, training, order), queue
+        return hamil_a_aggregate(X, queue, order), queue
     if kind == "ramil":
         if rng is None:
             if training:
                 raise ValueError("ramil requires an rng during training")
             # eval mode: fixed order so evaluation is reproducible
             rng = np.random.default_rng(0)
-        return ramil_aggregate(instances, rng, unit, training), None
+        return ramil_aggregate(X, rng, unit, training), None
     if kind in POOL_KINDS:
-        return pool_aggregate(instances, kind, spec.lse_r), None
+        return pool_aggregate(X, kind, spec.lse_r), None
     if kind in ("attention", "gated_attention"):
-        return attention_aggregate(instances, attn), None
+        return attention_aggregate(X, attn), None
     raise ValueError(f"unknown aggregator kind: {kind!r}")

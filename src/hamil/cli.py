@@ -361,18 +361,20 @@ def cmd_selftest(args) -> int:
     params = list(unit.named_params().values())
     runs = []
     for fused in (True, False):
-        xs = [Tensor(f, requires_grad=True) for f in feats]
         for p in params:
             p.grad = None
         if fused:
-            out = hamil_aggregate(xs, queue, unit)
+            X = Tensor(feats, requires_grad=True)
+            out = hamil_aggregate(X, queue, unit)
         else:
+            xs = [Tensor(f, requires_grad=True) for f in feats]
             slots = dict(enumerate(xs, start=1))
             for t in queue:
                 out = slots[t.new] = aggregate_pair(
                     slots.pop(t.left), slots.pop(t.right), unit)
         sum_all(mul(out, g)).backward()
-        runs.append([a.tobytes() for a in (out.data, *(x.grad for x in xs),
+        leaf_grads = list(X.grad) if fused else [x.grad for x in xs]
+        runs.append([a.tobytes() for a in (out.data, *leaf_grads,
                                            *(p.grad for p in params))])
     report("fused merge replay matches per-merge tape", runs[0] == runs[1])
 

@@ -54,9 +54,8 @@ class _BaseModel:
             gated=spec.kind == "gated_attention", rng=rng) \
             if spec.kind in ("attention", "gated_attention") else None
 
-    def _aggregate(self, feats: List[Tensor], cluster_feats,
-                   training: bool, rng):
-        return agg.aggregate(feats, self.spec, unit=self.agg_unit,
+    def _aggregate(self, H: Tensor, training: bool, rng, cluster_feats=None):
+        return agg.aggregate(H, self.spec, unit=self.agg_unit,
                              attn=self.attn, rng=rng, training=training,
                              cluster_features=cluster_feats)
 
@@ -119,16 +118,14 @@ class VectorPathwayModel(_BaseModel):
                 f"bag {bag.bag_id!r}: instance dim {X.shape[1]}, "
                 f"model expects {self.feature_dim}")
         H = self._feature_stack(Tensor(X), training, rng)   # (m, 64)
-        feats = [H[i] for i in range(len(bag.instances))]
+        cluster_feats = None
         if training and self.cluster_without_dropout and self.spec.needs_queue:
             cluster_feats = self._feature_stack(Tensor(X), False, None).data
-        else:
-            cluster_feats = H.data
-        aggregated, queue = self._aggregate(feats, cluster_feats, training, rng)
+        aggregated, queue = self._aggregate(H, training, rng, cluster_feats)
         logits = T.fully_connected(T.reshape(aggregated, (1, -1)),
                                    self.head_w, self.head_b)
         probs = T.reshape(T.sigmoid(logits), (self.label_count,))
-        scores = agg.instance_scores(feats, aggregated)
+        scores = agg.instance_scores(H, aggregated)
         return BagForward(probs, scores, queue)
 
 
@@ -136,19 +133,19 @@ class ImagePathwayModel(_BaseModel):
     """Two conv+ReLU+maxpool blocks, 2-D aggregation on the resulting
     feature maps, global-average + fc + sigmoid head."""
 
+    in_channels = 1
+    channels = (4, 8)
+
     def __init__(self, image_size: int, label_count: int, spec: AggregatorSpec,
-                 in_channels: int = 1, channels=(4, 8), seed: int = 0,
-                 cluster_without_dropout: bool = False):
+                 seed: int = 0, cluster_without_dropout: bool = False):
         if image_size % 4:
             raise ValueError("image size must be divisible by 4 (two 2x2 pools)")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xbeef]))
         self.image_size = image_size
-        self.in_channels = in_channels
-        self.channels = tuple(channels)
         self.label_count = label_count
         self.conv_w: List[Tensor] = []
         self.conv_b: List[Tensor] = []
-        cin = in_channels
+        cin = self.in_channels
         for cout in self.channels:
             self.conv_w.append(T.init_uniform((cout, cin, 3, 3), cin * 9, rng))
             self.conv_b.append(T.init_uniform((cout,), cin * 9, rng))
@@ -187,13 +184,12 @@ class ImagePathwayModel(_BaseModel):
                     f"bag {bag.bag_id!r}: image shape {img.shape}, model "
                     f"expects {(self.in_channels, s, s)}")
         H = self._extract(np.stack(imgs))                   # (m, C, s/4, s/4)
-        feats = [H[i] for i in range(len(imgs))]
-        aggregated, queue = self._aggregate(feats, H.data, training, rng)
+        aggregated, queue = self._aggregate(H, training, rng)
         pooled = T.reduce(T.reduce(aggregated, "mean", axis=2), "mean", axis=1)
         logits = T.fully_connected(T.reshape(pooled, (1, -1)),
                                    self.head_w, self.head_b)
         probs = T.reshape(T.sigmoid(logits), (self.label_count,))
-        scores = agg.instance_scores(feats, aggregated)
+        scores = agg.instance_scores(H, aggregated)
         return BagForward(probs, scores, queue)
 
 

@@ -3,7 +3,7 @@
 Covers exactly the operations the aggregation networks need: affine layers,
 1D/2D cross-correlation, a tree of 1-D pair merges as one node
 (conv1d_replay), pointwise nonlinearities, dropout, batchnorm,
-reductions (max/mean/sum/log-sum-exp), stacking/concatenation, and BCE loss.
+reductions (max/mean/sum/log-sum-exp), stacking/indexing, and BCE loss.
 conv2d and maxpool2d take leading batch axes (x[..., C, H, W]); otherwise
 no broadcasting beyond scalars, no higher-order derivatives, CPU only.
 """
@@ -11,7 +11,7 @@ no broadcasting beyond scalars, no higher-order derivatives, CPU only.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -379,19 +379,6 @@ def stack(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(np.stack([t.data for t in xs], axis=axis), tuple(xs), backward)
 
 
-def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
-    xs = list(xs)
-    if not xs:
-        raise ShapeError("concat of zero tensors")
-    sizes = [t.data.shape[axis] for t in xs]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        pieces = np.split(g, offsets, axis=axis)
-        return [(t, p) for t, p in zip(xs, pieces)]
-    return _node(np.concatenate([t.data for t in xs], axis=axis), tuple(xs), backward)
-
-
 # -- linear algebra ----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -475,33 +462,32 @@ def _conv1d_grad_input(gwin, w):
     return np.einsum("olk,oik->il", gwin, w[:, :, ::-1])
 
 
-def conv1d_replay(xs: Sequence[Tensor], lefts: Sequence[int],
-                  rights: Sequence[int], weight: Tensor, bias: Tensor) -> Tensor:
-    """A tree of 2->1 conv1d merges over vectors, as one graph node.
+def conv1d_replay(X: Tensor, lefts: Sequence[int], rights: Sequence[int],
+                  weight: Tensor, bias: Tensor) -> Tensor:
+    """A tree of 2->1 conv1d merges over the rows of X[m, D], as one node.
 
-    Slots 0..m-1 hold the (D,) vectors xs; merge j reads slots lefts[j] and
+    Slots 0..m-1 hold the rows of X; merge j reads slots lefts[j] and
     rights[j] as the two input channels of a length-preserving conv1d with
     weight[1, 2, k] (k odd, padding k // 2) and writes slot m+j. Every slot
     but the last is read exactly once, so the merges form one tree whose
     root, the last merge, is returned.
 
     Values and gradients equal, bit for bit, those of ``conv1d`` run merge
-    by merge on ``stack([left, right])``: the same einsums on windows of
-    the same layout, and the kernel and bias gradients summed in the order
-    ``Tensor.backward`` visits the per-merge nodes, which is pre-order from
-    the root (a merge, then its left subtree, then its right subtree).
+    by merge on ``stack([left, right])`` of the rows: the same einsums on
+    windows of the same layout, and the kernel and bias gradients summed in
+    the order ``Tensor.backward`` visits the per-merge nodes, which is
+    pre-order from the root (a merge, then its left subtree, then its right
+    subtree).
     """
-    xs = list(xs)
-    m, n = len(xs), len(xs) - 1
+    if X.data.ndim != 2 or X.data.shape[1] < 1:
+        raise ShapeError(
+            f"conv1d_replay: X {X.data.shape} must be (m, D) vectors, D >= 1")
+    m, D = X.data.shape
+    n = m - 1
     if n < 1 or len(lefts) != n or len(rights) != n:
         raise ShapeError(
             f"conv1d_replay: {m} inputs need {max(n, 0)} merges (at least 1), "
             f"got {len(lefts)} lefts and {len(rights)} rights")
-    shapes = sorted({t.data.shape for t in xs})
-    if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
-        raise ShapeError(f"conv1d_replay: inputs must be equal-length "
-                         f"vectors, got shapes {shapes}")
-    (D,) = shapes[0]
     if weight.data.ndim != 3 or weight.data.shape[:2] != (1, 2) \
             or weight.data.shape[2] % 2 == 0:
         raise ShapeError(
@@ -521,7 +507,7 @@ def conv1d_replay(xs: Sequence[Tensor], lefts: Sequence[int],
             reader_j[s], reader_c[s] = j, c
     cols = slice(padding, padding + D)
     P = np.zeros((n, 2, D + 2 * padding), dtype=_DEFAULT_DTYPE)
-    P[reader_j[:m], reader_c[:m], cols] = np.stack([t.data for t in xs])
+    P[reader_j[:m], reader_c[:m], cols] = X.data
     win = sliding_window_view(P, k, axis=2)           # (n, 2, D, k)
     for j in range(n - 1):
         P[reader_j[m + j], reader_c[m + j], cols] = \
@@ -532,7 +518,7 @@ def conv1d_replay(xs: Sequence[Tensor], lefts: Sequence[int],
         G = np.zeros((1, D + 2 * (k - 1)), dtype=g.dtype)
         gwin = sliding_window_view(G, k, axis=1)      # (1, D+k-1, k)
         gout = {n - 1: g.reshape(1, D)}
-        grads, gw, gb = [], None, None
+        gX, gw, gb = np.zeros((m, D), dtype=g.dtype), None, None
         todo = [n - 1]
         while todo:
             j = todo.pop()
@@ -544,12 +530,12 @@ def conv1d_replay(xs: Sequence[Tensor], lefts: Sequence[int],
             gx = _conv1d_grad_input(gwin, weight.data)[:, cols]
             for s, row in ((lefts[j], gx[0]), (rights[j], gx[1])):
                 if s < m:
-                    grads.append((xs[s], row))
+                    gX[s] = row
                 else:
                     gout[s - m] = row.reshape(1, D)
             todo.extend(s - m for s in (rights[j], lefts[j]) if s >= m)
-        return grads + [(weight, gw), (bias, gb)]
-    return _node(out.reshape(D), (*xs, weight, bias), backward)
+        return [(X, gX), (weight, gw), (bias, gb)]
+    return _node(out.reshape(D), (X, weight, bias), backward)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:

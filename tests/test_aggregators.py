@@ -38,15 +38,16 @@ class TestAggregatePair:
         np.testing.assert_allclose(out.data, (a.data + b.data) / 2, atol=1e-15)
 
     def test_2d_matches_per_channel_reference(self, rng):
-        # reference: the 1-layer 2-D unit run channel by channel and
-        # re-concatenated
+        # reference: the 1-layer 2-D unit run channel by channel, the
+        # (1, H, W) outputs stacked and reshaped back to (C, H, W)
         params = make_unit("2d", k=3, seed=5)
         w, bias = params.weights[0], params.biases[0]
 
         def per_channel(a, b):
-            return T.concat([T.conv2d(T.stack([a[c], b[c]]), w, bias,
-                                      params.padding)
-                             for c in range(a.data.shape[0])], axis=0)
+            return T.reshape(T.stack([T.conv2d(T.stack([a[c], b[c]]), w, bias,
+                                               params.padding)
+                                      for c in range(a.data.shape[0])]),
+                             a.data.shape)
 
         av, bv = rng.standard_normal((4, 5, 5)), rng.standard_normal((4, 5, 5))
         G = Tensor(rng.standard_normal((4, 5, 5)))
@@ -124,17 +125,32 @@ class TestAggregatePair:
 
 class TestHamilReplay:
     def test_single_instance_identity(self, rng):
-        x = Tensor(rng.standard_normal(5))
-        out = hamil_aggregate([x], MergeQueue(()), make_unit())
-        np.testing.assert_array_equal(out.data, x.data)
+        X = Tensor(rng.standard_normal((1, 5)))
+        out = hamil_aggregate(X, MergeQueue(()), make_unit())
+        np.testing.assert_array_equal(out.data, X.data[0])
 
     def test_mean_kernel_three_instances(self, rng):
         params = AggUnitParams.mean_kernel(AggregatorSpec(kernel_size=1), "1d")
-        xs = [Tensor(rng.standard_normal(4)) for _ in range(3)]
+        X = Tensor(rng.standard_normal((3, 4)))
         queue = MergeQueue((MergeTriplet(1, 2, 4), MergeTriplet(3, 4, 5)))
-        out = hamil_aggregate(xs, queue, params)
-        expected = ((xs[0].data + xs[1].data) / 2 + xs[2].data) / 2
+        out = hamil_aggregate(X, queue, params)
+        expected = ((X.data[0] + X.data[1]) / 2 + X.data[2]) / 2
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_order_maps_leaves_to_rows(self, rng, k):
+        # leaf i reads row order[i-1]: the same as replaying X[order]
+        params = AggUnitParams.mean_kernel(AggregatorSpec(kernel_size=k), "1d")
+        X = rng.standard_normal((4, 3))
+        queue = MergeQueue((MergeTriplet(1, 2, 5), MergeTriplet(3, 5, 6),
+                            MergeTriplet(4, 6, 7)))
+        order = [2, 0, 3, 1]
+        got = hamil_aggregate(Tensor(X), queue, params, order=order)
+        ref = hamil_aggregate(Tensor(X[order]), queue, params)
+        np.testing.assert_array_equal(got.data, ref.data)
+        got_a = hamil_a_aggregate(Tensor(X), queue, order=order)
+        np.testing.assert_array_equal(
+            got_a.data, hamil_a_aggregate(Tensor(X[order]), queue).data)
 
     def test_matches_hand_unrolled_composition(self, rng):
         params = make_unit("1d", layers=1, k=3, seed=5)
@@ -142,23 +158,23 @@ class TestHamilReplay:
             m = int(rng.integers(2, 6))
             xs = [Tensor(rng.standard_normal(6)) for _ in range(m)]
             queue = build_hierarchy([x.data for x in xs])
-            out = hamil_aggregate(xs, queue, params)
+            out = hamil_aggregate(T.stack(xs), queue, params)
             slots = {i + 1: xs[i] for i in range(m)}
             for t in queue:
                 slots[t.new] = aggregate_pair(slots[t.left], slots[t.right], params)
             np.testing.assert_array_equal(out.data, slots[max(slots)].data)
 
     def test_malformed_queue(self, rng):
-        xs = [Tensor(rng.standard_normal(3)) for _ in range(3)]
+        X = Tensor(rng.standard_normal((3, 3)))
         bad = MergeQueue((MergeTriplet(1, 5, 6), MergeTriplet(2, 3, 7)))
         with pytest.raises(QueueIntegrityError):
-            hamil_aggregate(xs, bad, make_unit())
+            hamil_aggregate(X, bad, make_unit())
 
 
-def generic_hamil(instances, queue, params, training=False):
-    """The per-merge tape: one aggregate_pair per merge."""
-    return _replay(instances, queue,
-                   lambda a, b: aggregate_pair(a, b, params, training))
+def generic_hamil(X, queue, params, training=False, order=None):
+    """The per-merge tape: one aggregate_pair per merge on getitem rows."""
+    return _replay(X, queue, lambda a, b: aggregate_pair(a, b, params, training),
+                   order)
 
 
 def replay_bytes(replay, X, params, g):
@@ -167,7 +183,7 @@ def replay_bytes(replay, X, params, g):
     xs = [Tensor(row, requires_grad=True) for row in X]
     for p in params.weights + params.biases:
         p.grad = None
-    out = replay(xs, build_hierarchy(list(X)), params)
+    out = replay(T.stack(xs), build_hierarchy(list(X)), params)
     T.sum_all(T.mul(out, Tensor(g))).backward()
     return [a.tobytes() for a in (out.data, *(x.grad for x in xs),
                                   params.weights[0].grad, params.biases[0].grad)]
@@ -236,35 +252,114 @@ class TestFusedReplay:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         spec = AggregatorSpec(kind=kind, kernel_size=3, **spec_kw)
         unit = AggUnitParams(spec, mode, np.random.default_rng(0))
-        xs = [Tensor(rng.standard_normal(shape)) for _ in range(5)]
-        out, _ = aggregate(xs, spec, unit=unit, rng=np.random.default_rng(0))
+        X = Tensor(rng.standard_normal((5, *shape)))
+        out, _ = aggregate(X, spec, unit=unit, rng=np.random.default_rng(0))
         assert out.data.shape == shape
         assert len(calls) == merges
 
 
+def rows_reference(X, spec, unit, attn, rng, training):
+    """The row construction the aggregators replaced: one getitem node per
+    instance, which each aggregator glues back together."""
+    rows = [X[i] for i in range(X.data.shape[0])]
+    if spec.kind in aggregators.POOL_KINDS:
+        return T.reduce(T.stack(rows), spec.kind.split("_")[0], axis=0,
+                        r=spec.lse_r)
+    if "attention" in spec.kind:
+        Xs = T.stack(rows)
+        h = T.tanh(T.matmul(Xs, attn.V))
+        if attn.gated:
+            h = T.mul(h, T.sigmoid(T.matmul(Xs, attn.U)))
+        w = T.softmax(T.reshape(T.matmul(h, attn.w), (len(rows),)))
+        return T.reshape(T.matmul(T.reshape(w, (1, len(rows))), Xs),
+                         (X.data.shape[1],))
+    if spec.kind == "ramil":
+        order = rng.permutation(len(rows))
+        acc = rows[order[0]]
+        for i in order[1:]:
+            acc = aggregate_pair(acc, rows[i], unit, training)
+        return acc
+    F = np.stack([r.data.ravel() for r in rows])
+    order = canonical_order(F)
+    slots = {i + 1: rows[j] for i, j in enumerate(order)}
+    for t in build_hierarchy(F[order]):
+        a, b = slots.pop(t.left), slots.pop(t.right)
+        slots[t.new] = aggregate_pair(a, b, unit, training) \
+            if spec.kind == "hamil" else (a + b) * Tensor(0.5)
+    (out,) = slots.values()
+    return out
+
+
+class TestMatrixBitIdentity:
+    """Every aggregator on the (m, ...) matrix equals, byte for byte, the
+    per-instance row construction in output, X.grad and unit gradients."""
+
+    CASES = [(kind, {}, "1d") for kind in aggregators.AGGREGATOR_KINDS] + [
+        ("hamil", {"layers": 2}, "1d"), ("hamil", {"use_batchnorm": True}, "1d"),
+        ("ramil", {"layers": 3}, "1d"),
+    ] + [(kind, {}, "2d") for kind in ("hamil", "hamil_a", "ramil")
+         + aggregators.POOL_KINDS] + [("hamil", {"layers": 2}, "2d")]
+
+    @pytest.mark.parametrize("kind,spec_kw,mode", CASES)
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_matrix_equals_row_construction(self, kind, spec_kw, mode, m):
+        rng = np.random.default_rng([m, self.CASES.index((kind, spec_kw, mode))])
+        shape = (6,) if mode == "1d" else (2, 4, 4)
+        Xv = 3 * rng.standard_normal((3, *shape))[rng.integers(0, 3, m)] \
+            + rng.standard_normal((m, *shape))
+        G = Tensor(rng.standard_normal(shape))
+        spec = AggregatorSpec(kind=kind, kernel_size=3, **spec_kw)
+        runs = []
+        for reference in (False, True):
+            unit = AggUnitParams(spec, mode, np.random.default_rng(1))
+            attn = AttentionParams(6, 8, kind == "gated_attention",
+                                   np.random.default_rng(2))
+            X = Tensor(Xv, requires_grad=True)
+            if reference:
+                out = rows_reference(X, spec, unit, attn,
+                                     np.random.default_rng(3), True)
+            else:
+                out, _ = aggregate(X, spec, unit=unit, attn=attn,
+                                   rng=np.random.default_rng(3), training=True)
+            T.sum_all(T.mul(out, G)).backward()
+            params = list(unit.named_params().values()) \
+                + list(attn.named_params().values())
+            runs.append([a.tobytes() for a in (out.data, X.grad)]
+                        + [p.grad.tobytes() for p in params if p.grad is not None])
+        assert runs[0] == runs[1]
+
+    def test_instance_scores_per_row(self, rng):
+        X = Tensor(np.vstack([rng.standard_normal((4, 5)), np.zeros((1, 5))]))
+        agg = Tensor(rng.standard_normal(5))
+        ref = [0.0 if not np.any(v) else
+               float(np.dot(v, agg.data) / (np.linalg.norm(v) * np.linalg.norm(agg.data)))
+               for v in X.data]
+        assert instance_scores(X, agg) == ref
+
+
 class TestHamilA:
     def test_two_instances_exact_mean(self, rng):
-        xs = [Tensor(rng.standard_normal(5)) for _ in range(2)]
-        out = hamil_a_aggregate(xs, MergeQueue((MergeTriplet(1, 2, 3),)))
-        np.testing.assert_array_equal(out.data, (xs[0].data + xs[1].data) * 0.5)
+        X = Tensor(rng.standard_normal((2, 5)))
+        out = hamil_a_aggregate(X, MergeQueue((MergeTriplet(1, 2, 3),)))
+        np.testing.assert_array_equal(out.data, (X.data[0] + X.data[1]) * 0.5)
 
     def test_equals_hamil_with_mean_kernel(self, rng):
         params = AggUnitParams.mean_kernel(AggregatorSpec(kernel_size=7), "1d")
         for _ in range(20):
             m = int(rng.integers(1, 7))
-            xs = [Tensor(rng.standard_normal(10)) for _ in range(m)]
-            queue = build_hierarchy([x.data for x in xs])
-            a = hamil_a_aggregate(xs, queue)
-            b = hamil_aggregate(xs, queue, params)
+            X = Tensor(rng.standard_normal((m, 10)))
+            queue = build_hierarchy(X.data)
+            a = hamil_a_aggregate(X, queue)
+            b = hamil_aggregate(X, queue, params)
             np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_unrolled_oracle(self, rng):
         for _ in range(10):
             m = int(rng.integers(2, 6))
-            xs = [Tensor(rng.standard_normal(4)) for _ in range(m)]
-            queue = build_hierarchy([x.data for x in xs])
-            out = hamil_a_aggregate(xs, queue)
-            slots = {i + 1: x.data for i, x in enumerate(xs)}
+            X = Tensor(rng.standard_normal((m, 4)))
+            queue = build_hierarchy(X.data)
+            out = hamil_a_aggregate(X, queue)
+            slots = {i + 1: x for i, x in enumerate(X.data)}
             for t in queue:
                 slots[t.new] = (slots[t.left] + slots[t.right]) * 0.5
             np.testing.assert_array_equal(out.data, slots[max(slots)])
@@ -272,54 +367,54 @@ class TestHamilA:
 
 class TestRamil:
     def test_single_instance_identity(self, rng):
-        x = Tensor(rng.standard_normal(4))
-        out = ramil_aggregate([x], np.random.default_rng(0), make_unit())
-        np.testing.assert_array_equal(out.data, x.data)
+        X = Tensor(rng.standard_normal((1, 4)))
+        out = ramil_aggregate(X, np.random.default_rng(0), make_unit())
+        np.testing.assert_array_equal(out.data, X.data[0])
 
     def test_fixed_seed_reproducible(self, rng):
-        xs = [Tensor(rng.standard_normal(5)) for _ in range(4)]
+        X = Tensor(rng.standard_normal((4, 5)))
         params = make_unit(seed=2)
-        a = ramil_aggregate(xs, np.random.default_rng(11), params)
-        b = ramil_aggregate(xs, np.random.default_rng(11), params)
+        a = ramil_aggregate(X, np.random.default_rng(11), params)
+        b = ramil_aggregate(X, np.random.default_rng(11), params)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_order_changes_output_vs_hamil(self):
         # mean-kernel folding is order sensitive: left-deep random fold of
         # three distinct values differs from the hierarchy's grouping
         params = AggUnitParams.mean_kernel(AggregatorSpec(kernel_size=1), "1d")
-        xs = [Tensor([0.0]), Tensor([1.0]), Tensor([100.0])]
-        queue = build_hierarchy([x.data for x in xs])
-        hamil_out = hamil_aggregate(xs, queue, params)   # ((0+1)/2+100)/2
+        X = Tensor([[0.0], [1.0], [100.0]])
+        queue = build_hierarchy(X.data)
+        hamil_out = hamil_aggregate(X, queue, params)    # ((0+1)/2+100)/2
         assert abs(hamil_out.item() - 50.25) < 1e-12
         seen = set()
         for seed in range(10):
-            out = ramil_aggregate(xs, np.random.default_rng(seed), params)
+            out = ramil_aggregate(X, np.random.default_rng(seed), params)
             seen.add(round(out.item(), 9))
         assert any(abs(v - 50.25) > 1e-9 for v in seen)
 
 
 class TestPooling:
     def test_single_instance_identity(self, rng):
-        x = Tensor(rng.standard_normal(5))
+        X = Tensor(rng.standard_normal((1, 5)))
         for kind in ("max_pool", "mean_pool", "sum_pool", "lse_pool"):
-            out = pool_aggregate([x], kind)
-            np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+            out = pool_aggregate(X, kind)
+            np.testing.assert_allclose(out.data, X.data[0], atol=1e-12)
 
     def test_mean_example(self):
-        out = pool_aggregate([Tensor([0.0, 2.0]), Tensor([2.0, 0.0])], "mean_pool")
+        out = pool_aggregate(Tensor([[0.0, 2.0], [2.0, 0.0]]), "mean_pool")
         np.testing.assert_array_equal(out.data, [1.0, 1.0])
 
     def test_empty_bag(self):
         with pytest.raises(ValueError, match="empty"):
-            pool_aggregate([], "max_pool")
+            pool_aggregate(Tensor(np.zeros((0, 4))), "max_pool")
 
     def test_permutation_invariance(self, rng):
-        xs = [Tensor(rng.standard_normal(6)) for _ in range(5)]
+        X = rng.standard_normal((5, 6))
         for kind in ("max_pool", "mean_pool", "sum_pool", "lse_pool"):
-            ref = pool_aggregate(xs, kind, r=3.0).data
+            ref = pool_aggregate(Tensor(X), kind, r=3.0).data
             for _ in range(10):
                 perm = rng.permutation(5)
-                out = pool_aggregate([xs[i] for i in perm], kind, r=3.0).data
+                out = pool_aggregate(Tensor(X[perm]), kind, r=3.0).data
                 np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
@@ -327,7 +422,7 @@ class TestAttention:
     def test_identical_instances_returns_instance(self, rng):
         x = rng.standard_normal(6)
         params = AttentionParams(6, 16, gated=False, rng=np.random.default_rng(0))
-        out = attention_aggregate([Tensor(x)] * 4, params)
+        out = attention_aggregate(Tensor(np.tile(x, (4, 1))), params)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     @pytest.mark.parametrize("gated", [False, True])
@@ -345,37 +440,42 @@ class TestAttention:
     @pytest.mark.parametrize("gated", [False, True])
     def test_permutation_invariance(self, rng, gated):
         params = AttentionParams(4, 8, gated=gated, rng=np.random.default_rng(2))
-        xs = [Tensor(rng.standard_normal(4)) for _ in range(6)]
-        ref = attention_aggregate(xs, params).data
+        X = rng.standard_normal((6, 4))
+        ref = attention_aggregate(Tensor(X), params).data
         for _ in range(10):
             perm = rng.permutation(6)
-            out = attention_aggregate([xs[i] for i in perm], params).data
+            out = attention_aggregate(Tensor(X[perm]), params).data
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_empty_bag(self):
         params = AttentionParams(4, 8, gated=False, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
-            attention_aggregate([], params)
+            attention_aggregate(Tensor(np.zeros((0, 4))), params)
+
+    def test_feature_maps_rejected(self):
+        params = AttentionParams(4, 8, gated=False, rng=np.random.default_rng(0))
+        with pytest.raises(T.ShapeError, match="vectors"):
+            attention_aggregate(Tensor(np.zeros((3, 4, 2, 2))), params)
 
 
 class TestInstanceScores:
     def test_instance_equal_to_aggregate(self, rng):
         x = Tensor(rng.standard_normal(5))
-        assert instance_scores([x], x) == [1.0]
+        assert instance_scores(Tensor(x.data[None]), x) == [1.0]
 
     def test_orthogonal_and_antiparallel(self):
         agg = Tensor([1.0, 0.0])
-        scores = instance_scores([Tensor([0.0, 1.0]), Tensor([-2.0, 0.0])], agg)
+        scores = instance_scores(Tensor([[0.0, 1.0], [-2.0, 0.0]]), agg)
         assert abs(scores[0]) < 1e-12
         assert abs(scores[1] + 1.0) < 1e-12
 
     def test_zero_vector_guard(self):
-        assert instance_scores([Tensor([0.0, 0.0])], Tensor([1.0, 1.0])) == [0.0]
+        assert instance_scores(Tensor([[0.0, 0.0]]), Tensor([1.0, 1.0])) == [0.0]
 
 
 class TestDispatchAndTraining:
     def test_aggregate_output_shape_all_kinds(self, rng):
-        xs = [Tensor(rng.standard_normal(8)) for _ in range(4)]
+        X = Tensor(rng.standard_normal((4, 8)))
         for kind in ("hamil", "hamil_a", "ramil", "max_pool", "mean_pool",
                      "sum_pool", "lse_pool", "attention", "gated_attention"):
             spec = AggregatorSpec(kind=kind, kernel_size=3)
@@ -384,7 +484,7 @@ class TestDispatchAndTraining:
             attn = AttentionParams(8, 16, kind == "gated_attention",
                                    np.random.default_rng(0)) \
                 if "attention" in kind else None
-            out, queue = aggregate(xs, spec, unit=unit, attn=attn,
+            out, queue = aggregate(X, spec, unit=unit, attn=attn,
                                    rng=np.random.default_rng(0))
             assert out.data.shape == (8,)
             assert (queue is not None) == (kind in ("hamil", "hamil_a"))
@@ -402,18 +502,18 @@ class TestDispatchAndTraining:
     def test_ramil_eval_without_rng_is_deterministic(self, rng):
         spec = AggregatorSpec(kind="ramil", kernel_size=3)
         unit = AggUnitParams(spec, "1d", np.random.default_rng(1))
-        xs = [Tensor(rng.standard_normal(5)) for _ in range(4)]
-        a, _ = aggregate(xs, spec, unit=unit, training=False)
-        b, _ = aggregate(xs, spec, unit=unit, training=False)
+        X = Tensor(rng.standard_normal((4, 5)))
+        a, _ = aggregate(X, spec, unit=unit, training=False)
+        b, _ = aggregate(X, spec, unit=unit, training=False)
         np.testing.assert_array_equal(a.data, b.data)
         with pytest.raises(ValueError, match="rng"):
-            aggregate(xs, spec, unit=unit, training=True)
+            aggregate(X, spec, unit=unit, training=True)
 
     def test_gradient_reaches_unit_params_after_training_step(self, rng):
         spec = AggregatorSpec(kind="hamil", kernel_size=3)
         unit = AggUnitParams(spec, "1d", np.random.default_rng(4))
         xs = [Tensor(rng.standard_normal(6), requires_grad=True) for _ in range(3)]
-        out, _ = aggregate(xs, spec, unit=unit)
+        out, _ = aggregate(T.stack(xs), spec, unit=unit)
         T.sum_all(out).backward()
         assert np.linalg.norm(unit.weights[0].grad) > 0
         assert all(x.grad is not None for x in xs)

@@ -126,6 +126,34 @@ class TestVectorPathway:
             assert relative_error(p.grad, numeric_grad(f, base)) < 1e-4, name
 
 
+def interior_nodes(root):
+    """Autodiff nodes with parents reachable from root."""
+    seen, todo, count = set(), [root], 0
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += bool(node._parents)
+        todo.extend(node._parents)
+    return count
+
+
+class TestBagGraphSize:
+    @pytest.mark.parametrize("kind", ["hamil", "max_pool", "attention"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_node_count_does_not_grow_with_bag_size(self, rng, kind, mode):
+        # the bag stays one (m, 64) tensor into the aggregator: no node
+        # per instance
+        model = vec_model(kind=kind, seed=1)
+        counts = []
+        for m in (3, 30):
+            bag = vec_bag(rng, m=m)
+            out = model.forward_bag(bag, mode=mode, rng=np.random.default_rng(0))
+            counts.append(interior_nodes(loss_bag(out.probs, bag.labels)))
+        assert counts[0] == counts[1]
+
+
 class TestImagePathway:
     def img_bag(self, rng, m=3, s=8, label=1.0):
         return Bag("i0", [rng.uniform(0, 1, (1, s, s)) for _ in range(m)],
@@ -164,8 +192,8 @@ class TestImagePathway:
                             image_size=8, seed=3)
         bag = self.img_bag(rng, m=4)
         feats = [model._extract(img) for img in bag.instances]
-        aggregated, _ = model._aggregate(feats, [f.data.ravel() for f in feats],
-                                         False, None)
+        aggregated, _ = model._aggregate(T.stack(feats), False, None,
+                                         [f.data.ravel() for f in feats])
         logits = aggregated.data.mean(axis=(1, 2)) @ model.head_w.data \
             + model.head_b.data
         ref = 1.0 / (1.0 + np.exp(-logits))

@@ -99,7 +99,7 @@ class TestConv1dReplay:
         for fused in (True, False):
             xs = [Tensor(x, requires_grad=True) for x in X]
             w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
-            out = T.conv1d_replay(xs, self.LEFTS, self.RIGHTS, w, b) \
+            out = T.conv1d_replay(T.stack(xs), self.LEFTS, self.RIGHTS, w, b) \
                 if fused else self.per_merge(xs, w, b, k // 2)
             T.sum_all(T.mul(out, Tensor(g))).backward()
             runs.append([a.tobytes() for a in
@@ -110,29 +110,29 @@ class TestConv1dReplay:
         X = rng.standard_normal((5, 6))
         w, b = rng.standard_normal((1, 2, 3)), rng.standard_normal(1)
 
-        def loss(xs, wt, bt):
-            out = T.conv1d_replay(xs, self.LEFTS, self.RIGHTS, wt, bt)
+        def loss(Xt, wt, bt):
+            out = T.conv1d_replay(Xt, self.LEFTS, self.RIGHTS, wt, bt)
             return T.sum_all(T.tanh(out))
 
-        rest = [Tensor(x) for x in X[1:]]
-        grad_check(lambda t: loss([t] + rest, Tensor(w), Tensor(b)), X[0])
-        grad_check(lambda t: loss([Tensor(x) for x in X], t, Tensor(b)), w)
-        grad_check(lambda t: loss([Tensor(x) for x in X], Tensor(w), t), b)
+        grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), X)
+        grad_check(lambda t: loss(Tensor(X), t, Tensor(b)), w)
+        grad_check(lambda t: loss(Tensor(X), Tensor(w), t), b)
 
     def test_malformed_tree_rejected(self):
-        xs = [Tensor(np.zeros(4)) for _ in range(3)]
+        X = Tensor(np.zeros((3, 4)))
         w, b = Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1))
         with pytest.raises(T.GraphError, match="slot 0"):
-            T.conv1d_replay(xs, [0, 0], [1, 2], w, b)      # read twice
+            T.conv1d_replay(X, [0, 0], [1, 2], w, b)       # read twice
         with pytest.raises(T.GraphError, match="slot 4"):
-            T.conv1d_replay(xs, [0, 2], [1, 4], w, b)      # not yet written
+            T.conv1d_replay(X, [0, 2], [1, 4], w, b)       # not yet written
         with pytest.raises(T.ShapeError, match="merges"):
-            T.conv1d_replay(xs, [0], [1], w, b)
+            T.conv1d_replay(X, [0], [1], w, b)
         for shape in ((1, 1, 3), (1, 2, 2)):
             with pytest.raises(T.ShapeError, match="weight"):
-                T.conv1d_replay(xs, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
-        with pytest.raises(T.ShapeError, match="vectors"):
-            T.conv1d_replay(xs[:2] + [Tensor(np.zeros(5))], [0, 2], [1, 3], w, b)
+                T.conv1d_replay(X, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
+        for shape in ((3, 4, 1), (3, 0), (4,)):
+            with pytest.raises(T.ShapeError, match="vectors"):
+                T.conv1d_replay(Tensor(np.zeros(shape)), [0, 2], [1, 3], w, b)
 
 
 class TestConv2d:
@@ -377,12 +377,6 @@ class TestStackConcatGetitem:
     def test_stack_and_grads(self, rng):
         a, b = rng.standard_normal(3), rng.standard_normal(3)
         grad_check(lambda t: T.sum_all(T.mul(T.stack([t, Tensor(b)]), T.stack([t, Tensor(b)]))), a)
-
-    def test_concat_channels(self, rng):
-        xs = [Tensor(rng.standard_normal((1, 2, 2))) for _ in range(3)]
-        out = T.concat(xs, axis=0)
-        assert out.data.shape == (3, 2, 2)
-        np.testing.assert_array_equal(out.data[1], xs[1].data[0])
 
     def test_getitem_row_grad(self, rng):
         x = rng.standard_normal((4, 3))
