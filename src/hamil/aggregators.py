@@ -5,7 +5,9 @@ Every aggregator maps a bag, one (m, ...) tensor X whose row i is instance
 i's feature, to a single feature of the row shape. The conv units come in
 1-D (length-D vectors, used for the classic benchmarks) and 2-D (C x H x W
 feature maps) modes; one shared parameter set is reused by every merge
-step.
+step. hamil, hamil_a and ramil all replay a binary merge tree: hamil and
+ramil with the 1-layer 1-D unit as one `conv1d_replay` node, everything
+else (hamil_a, 2-D units, layers >= 2, batchnorm) one merge at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import tensor as T
-from .hierclust import (MergeQueue, QueueIntegrityError, build_hierarchy,
-                        feature_matrix)
+from .hierclust import MergeQueue, build_hierarchy, feature_matrix
 from .tensor import Tensor
 
 POOL_KINDS = ("max_pool", "mean_pool", "sum_pool", "lse_pool")
@@ -157,64 +158,61 @@ def _mean_pair(a: Tensor, b: Tensor) -> Tensor:
     return (a + b) * Tensor(0.5)
 
 
-def _replay(X: Tensor, queue: MergeQueue, merge_fn, order=None) -> Tensor:
-    """Run merge_fn once per merge; queue leaf i reads row order[i-1] of X
-    (row i-1 when order is None)."""
-    m = X.data.shape[0]
+def _queue_slots(queue: MergeQueue, m: int, order=None):
+    """A validated queue as `_replay`'s slot lists; queue leaf i reads row
+    order[i-1] of X (row i-1 when order is None)."""
     queue.validate(m)
-    rows = range(m) if order is None else order
-    slots = {i + 1: X[r] for i, r in enumerate(rows)}
-    for t in queue:
-        try:
-            left, right = slots.pop(t.left), slots.pop(t.right)
-        except KeyError as e:
-            raise QueueIntegrityError(f"slot {e.args[0]} unavailable") from e
-        slots[t.new] = merge_fn(left, right)
-    (result,) = slots.values()
-    return result
+    slot = [*(range(m) if order is None else order), *range(m, 2 * m - 1)]
+    return [slot[t.left - 1] for t in queue], [slot[t.right - 1] for t in queue]
+
+
+def _replay(X: Tensor, lefts, rights, merge_fn) -> Tensor:
+    """Replay a merge tree one merge_fn call at a time. Slots 0..m-1 are
+    getitem rows of X; merge j fuses slots lefts[j] and rights[j] into slot
+    m+j, and the last slot is the bag's feature."""
+    slots = [X[i] for i in range(X.data.shape[0])]
+    for a, b in zip(lefts, rights):
+        slots.append(merge_fn(slots[a], slots[b]))
+    return slots[-1]
+
+
+def _unit_replay(X: Tensor, lefts, rights, params: AggUnitParams,
+                 training: bool) -> Tensor:
+    """Replay a merge tree through the shared conv unit: the 1-layer 1-D
+    unit without batchnorm is one conv1d per merge, so the whole tree is one
+    `conv1d_replay` node, bit-identical to the per-merge `aggregate_pair`
+    tape that every other unit builds."""
+    if params.mode == "1d" and params.layers == 1 and not params.bn_state \
+            and lefts:
+        return T.conv1d_replay(X, lefts, rights, params.weights[0],
+                               params.biases[0])
+    return _replay(X, lefts, rights,
+                   lambda a, b: aggregate_pair(a, b, params, training))
 
 
 def hamil_aggregate(X: Tensor, queue: MergeQueue, params: AggUnitParams,
                     training: bool = False, order=None) -> Tensor:
     """Replay the merge queue through the shared conv unit; queue leaf i
-    reads row order[i-1] of X (row i-1 when order is None).
-
-    The 1-layer 1-D unit without batchnorm is one conv1d per merge, so the
-    whole queue replays as a single `conv1d_replay` node on X, bit-identical
-    to the per-merge `aggregate_pair` tape that every other unit builds on
-    one getitem row per leaf.
-    """
-    m = X.data.shape[0]
-    if params.mode == "1d" and params.layers == 1 and not params.bn_state \
-            and m > 1:
-        queue.validate(m)
-        # queue index s is conv1d_replay's slot[s - 1]: a leaf's row of X,
-        # or the output of merge s - m - 1
-        slot = (list(range(m)) if order is None else list(order)) \
-            + list(range(m, 2 * m - 1))
-        return T.conv1d_replay(X, [slot[t.left - 1] for t in queue],
-                               [slot[t.right - 1] for t in queue],
-                               params.weights[0], params.biases[0])
-    return _replay(X, queue, lambda a, b: aggregate_pair(a, b, params, training),
-                   order)
+    reads row order[i-1] of X (row i-1 when order is None)."""
+    return _unit_replay(X, *_queue_slots(queue, X.data.shape[0], order),
+                        params, training)
 
 
 def hamil_a_aggregate(X: Tensor, queue: MergeQueue, order=None) -> Tensor:
     """Hierarchy replay with parameter-free elementwise-mean merges."""
-    return _replay(X, queue, _mean_pair, order)
+    return _replay(X, *_queue_slots(queue, X.data.shape[0], order), _mean_pair)
 
 
 def ramil_aggregate(X: Tensor, rng: np.random.Generator,
                     params: AggUnitParams, training: bool = False) -> Tensor:
-    """Left-deep fold over a uniformly random instance permutation."""
+    """Left-deep fold over a uniformly random instance permutation: merge j
+    fuses the running feature with row order[j+1]."""
     m = X.data.shape[0]
     if m == 0:
         raise ValueError("ramil_aggregate on an empty bag")
     order = rng.permutation(m).tolist()
-    acc = X[order[0]]
-    for i in order[1:]:
-        acc = aggregate_pair(acc, X[i], params, training)
-    return acc
+    lefts = [order[0], *range(m, 2 * m - 2)][:m - 1]
+    return _unit_replay(X, lefts, order[1:], params, training)
 
 
 def pool_aggregate(X: Tensor, kind: str, r: float = 1.0) -> Tensor:

@@ -236,7 +236,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):     # exp(-x) = inf gives s = 0 exactly
+        s = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         return [(x, g * s * (1.0 - s))]

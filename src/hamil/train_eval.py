@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 from . import tensor as T
 from .aggregators import AggregatorSpec
-from .data import Bag, CVPlan, Dataset, make_cv_plan, normalize
+from .data import Bag, Dataset, make_cv_plan, normalize
 from .models import build_model, loss_bag
 
 log = logging.getLogger(__name__)

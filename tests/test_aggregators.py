@@ -4,7 +4,7 @@ import pytest
 from hamil import aggregators
 from hamil import tensor as T
 from hamil.aggregators import (AggregatorSpec, AggUnitParams, AttentionParams,
-                               _replay, aggregate, aggregate_pair,
+                               aggregate, aggregate_pair,
                                attention_aggregate, canonical_order,
                                hamil_a_aggregate, hamil_aggregate,
                                instance_scores, pool_aggregate, ramil_aggregate)
@@ -173,20 +173,42 @@ class TestHamilReplay:
 
 def generic_hamil(X, queue, params, training=False, order=None):
     """The per-merge tape: one aggregate_pair per merge on getitem rows."""
-    return _replay(X, queue, lambda a, b: aggregate_pair(a, b, params, training),
-                   order)
+    rows = range(X.data.shape[0]) if order is None else order
+    slots = {i + 1: X[r] for i, r in enumerate(rows)}
+    for t in queue:
+        slots[t.new] = aggregate_pair(slots.pop(t.left), slots.pop(t.right),
+                                      params, training)
+    (out,) = slots.values()
+    return out
+
+
+def ramil_fold(X, rng, params, training=False):
+    """RAMIL's per-merge tape: a left-deep aggregate_pair fold over a random
+    permutation of getitem rows."""
+    order = rng.permutation(X.data.shape[0]).tolist()
+    acc = X[order[0]]
+    for i in order[1:]:
+        acc = aggregate_pair(acc, X[i], params, training)
+    return acc
+
+
+def seeded(ramil, seed):
+    """A ramil replay in replay_bytes' (X, queue, params) form; the queue
+    goes unused."""
+    return lambda X, queue, params: ramil(X, np.random.default_rng(seed), params)
 
 
 def replay_bytes(replay, X, params, g):
     """Output, instance gradients and unit gradients of sum(g * replay), as
-    bytes."""
+    bytes; a unit gradient is None when no merge ran."""
     xs = [Tensor(row, requires_grad=True) for row in X]
     for p in params.weights + params.biases:
         p.grad = None
     out = replay(T.stack(xs), build_hierarchy(list(X)), params)
     T.sum_all(T.mul(out, Tensor(g))).backward()
-    return [a.tobytes() for a in (out.data, *(x.grad for x in xs),
-                                  params.weights[0].grad, params.biases[0].grad)]
+    return [a if a is None else a.tobytes()
+            for a in (out.data, *(x.grad for x in xs),
+                      params.weights[0].grad, params.biases[0].grad)]
 
 
 ROWS = {
@@ -219,6 +241,19 @@ class TestFusedReplay:
             assert replay_bytes(hamil_aggregate, X, params, g) \
                 == replay_bytes(generic_hamil, X, params, g)
 
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ramil_bit_identical_to_per_merge_fold(self, rows, k):
+        rng = np.random.default_rng([k, sorted(ROWS).index(rows), 1])
+        # m = 1 has no merge; m = 2 is the smallest bag the fused node replays
+        for m in (1, 2, 3, 9, 31, 60):
+            d = int(rng.integers(1, 20))
+            X = ROWS[rows](rng, m, d)
+            params = make_unit("1d", k=k, seed=m)
+            g = rng.standard_normal(d)
+            assert replay_bytes(seeded(ramil_aggregate, m), X, params, g) \
+                == replay_bytes(seeded(ramil_fold, m), X, params, g)
+
     def test_sgd_steps_bit_identical_to_generic_path(self, monkeypatch):
         rng = np.random.default_rng(7)
         bags = [Bag(f"b{i}", list(ROWS["clustered"](rng, int(rng.integers(2, 16)), 6)),
@@ -237,12 +272,29 @@ class TestFusedReplay:
         monkeypatch.setattr(aggregators, "hamil_aggregate", generic_hamil)
         assert trained() == fused
 
+    def test_ramil_sgd_steps_bit_identical_to_fold(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        bags = [Bag(f"b{i}", list(rng.standard_normal((int(rng.integers(1, 16)), 6))),
+                    np.asarray([float(i % 2)])) for i in range(8)]
+
+        def trained():
+            model = build_model("vector", AggregatorSpec(kind="ramil", kernel_size=3),
+                                feature_dim=6, seed=3)
+            train(model, bags, OptimizerConfig(learning_rate=0.01, epochs=3), seed=1)
+            return ([p.data.tobytes() for p in model.parameters().values()],
+                    [model.forward_bag(b).probs.data.tobytes() for b in bags])
+
+        fused = trained()
+        monkeypatch.setattr(aggregators, "ramil_aggregate", ramil_fold)
+        assert trained() == fused
+
     @pytest.mark.parametrize("kind,spec_kw,mode,shape,merges", [
         ("hamil", {}, "1d", (6,), 0),
         ("hamil", {"layers": 2}, "1d", (6,), 4),
         ("hamil", {"use_batchnorm": True}, "1d", (6,), 4),
         ("hamil", {}, "2d", (2, 4, 4), 4),
-        ("ramil", {}, "1d", (6,), 4),
+        ("ramil", {}, "1d", (6,), 0),
+        ("ramil", {}, "2d", (2, 4, 4), 4),
     ])
     def test_generic_path_for_other_units(self, monkeypatch, rng, kind, spec_kw,
                                           mode, shape, merges):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hamil.data import (Bag, DataFormatError, Dataset, MotifSpec, NormStats,
-                        convert_c45, load_bag_csv, make_cv_plan, normalize,
+from hamil.data import (Bag, DataFormatError, Dataset, MotifSpec, convert_c45,
+                        load_bag_csv, make_cv_plan, normalize,
                         oracle_motif_detector, save_bag_csv, synth_image_bags)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hamil import tensor as T
 from hamil.aggregators import AggregatorSpec
 from hamil.data import Bag
-from hamil.models import (BagForward, build_model, load_model, loss_bag,
-                          model_config, save_model)
+from hamil.models import (build_model, load_model, loss_bag, model_config,
+                          save_model)
 from hamil.tensor import Tensor
 
 from hamil.oracles import numeric_grad, relative_error

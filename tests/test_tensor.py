@@ -253,6 +253,15 @@ class TestPointwiseAndReduce:
             T.dropout(Tensor([1.0]), 1.0, training=True,
                       rng=np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_saturates_without_warning(self):
+        x = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
+        s = T.sigmoid(Tensor(x)).data
+        with np.errstate(over="ignore"):
+            ref = 1 / (1 + np.exp(-x))
+        assert s.tobytes() == ref.tobytes()
+        assert s[0] == 0.0 and s[-1] == 1.0
+
     def test_lse_constant_input(self):
         for r in (0.5, 1.0, 10.0):
             out = T.reduce(Tensor([3.7, 3.7, 3.7]), "lse", axis=0, r=r)
