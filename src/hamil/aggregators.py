@@ -68,8 +68,6 @@ class AggUnitParams:
             raise ValueError(f"mode must be '1d' or '2d', got {mode!r}")
         self.mode = mode
         self.layers = spec.layers
-        self.kernel_size = spec.kernel_size
-        self.use_batchnorm = spec.use_batchnorm
         self.padding = (spec.kernel_size - 1) // 2
         k = spec.kernel_size
         self.weights: List[Tensor] = []
@@ -85,7 +83,7 @@ class AggUnitParams:
             self.biases.append(T.init_uniform((1,), fan_in, rng))
         # batchnorm between layers (and optionally after a 1-layer unit);
         # running stats are shared across all merge steps, like the kernels
-        n_bn = self.layers - 1 if self.layers > 1 else (1 if self.use_batchnorm else 0)
+        n_bn = self.layers - 1 if self.layers > 1 else (1 if spec.use_batchnorm else 0)
         for _ in range(n_bn):
             self.bn_gamma.append(Tensor(np.ones(1), requires_grad=True))
             self.bn_beta.append(Tensor(np.zeros(1), requires_grad=True))

@@ -24,15 +24,18 @@ BN_EPS = 1e-5
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch global precision. 'f64' (default) or 'f32'."""
+def set_default_dtype(dtype):
+    """Switch global precision, 'f64' (default) or 'f32'; returns the
+    previous dtype, which this function also accepts."""
     global _DEFAULT_DTYPE
+    previous = _DEFAULT_DTYPE
     if dtype in ("f64", np.float64, "float64"):
         _DEFAULT_DTYPE = np.float64
     elif dtype in ("f32", np.float32, "float32"):
         _DEFAULT_DTYPE = np.float32
     else:
         raise ValueError(f"unsupported dtype: {dtype!r}")
+    return previous
 
 
 class ShapeError(ValueError):
@@ -62,14 +65,6 @@ class Tensor:
         self._backward = _backward
 
     # -- basic introspection -------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -132,26 +127,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -196,15 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return [(a, _unbroadcast(g, a.data.shape)),
                 (b, _unbroadcast(g, b.data.shape))]
     return _node(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-
-    def backward(g):
-        return [(a, _unbroadcast(g, a.data.shape)),
-                (b, _unbroadcast(-g, b.data.shape))]
-    return _node(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -9,6 +9,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional
 
@@ -274,47 +275,46 @@ def _fold_seed(base_seed: int, rep: int, fold: int) -> int:
 
 
 def _run_fold(args):
+    """One fold at the spec's precision; the caller's is restored after."""
     spec, plan, rep, fold = args
-    T.set_default_dtype(spec.precision)
-    train_ds, test_ds = plan.fold_split(spec.dataset, rep, fold)
-    if not train_ds.bags or not test_ds.bags:
-        raise ValueError(f"rep {rep} fold {fold}: empty train or test split")
-    if spec.pathway == "vector" and spec.normalize_features:
-        train_ds, stats = normalize(train_ds)
-        test_ds, _ = normalize(test_ds, stats)
-    seed = _fold_seed(spec.base_seed, rep, fold)
-    model = build_model(
-        spec.pathway, spec.aggregator,
-        feature_dim=spec.dataset.feature_dim,
-        label_count=spec.dataset.label_count,
-        dropout_rate=spec.dropout_rate, image_size=spec.image_size,
-        seed=seed, cluster_without_dropout=spec.cluster_without_dropout)
+    previous = T.set_default_dtype(spec.precision)
     try:
-        train(model, train_ds.bags, spec.optimizer, seed)
-    except TrainingDivergedError as e:
-        raise TrainingDivergedError(f"rep {rep} fold {fold}: {e}") from e
-    metrics = evaluate(model, test_ds.bags)
-    return FoldResult(rep, fold, len(test_ds.bags), seed, metrics)
+        train_ds, test_ds = plan.fold_split(spec.dataset, rep, fold)
+        if not train_ds.bags or not test_ds.bags:
+            raise ValueError(f"rep {rep} fold {fold}: empty train or test split")
+        if spec.pathway == "vector" and spec.normalize_features:
+            train_ds, stats = normalize(train_ds)
+            test_ds, _ = normalize(test_ds, stats)
+        seed = _fold_seed(spec.base_seed, rep, fold)
+        model = build_model(
+            spec.pathway, spec.aggregator,
+            feature_dim=spec.dataset.feature_dim,
+            label_count=spec.dataset.label_count,
+            dropout_rate=spec.dropout_rate, image_size=spec.image_size,
+            seed=seed, cluster_without_dropout=spec.cluster_without_dropout)
+        try:
+            train(model, train_ds.bags, spec.optimizer, seed)
+        except TrainingDivergedError as e:
+            raise TrainingDivergedError(f"rep {rep} fold {fold}: {e}") from e
+        metrics = evaluate(model, test_ds.bags)
+        return FoldResult(rep, fold, len(test_ds.bags), seed, metrics)
+    finally:
+        T.set_default_dtype(previous)
 
 
 def run_cv(spec: RunSpec, progress=None) -> RunResult:
-    """Run the full repetitions x folds protocol; bit-reproducible in
-    metrics for identical spec and seeds."""
+    """Run the full repetitions x folds protocol, in `spec.workers`
+    processes when more than one; bit-reproducible in metrics for identical
+    spec and seeds, whatever the worker count."""
     t0 = time.monotonic()
     plan = make_cv_plan(spec.dataset, spec.repetitions, spec.folds,
                         spec.base_seed)
     jobs = [(spec, plan, r, f)
             for r in range(spec.repetitions) for f in range(spec.folds)]
     results: List[FoldResult] = []
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for res in pool.map(_run_fold, jobs):
-                results.append(res)
-                if progress is not None:
-                    progress(res)
-    else:
-        for job in jobs:
-            res = _run_fold(job)
+    with (ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1
+          else nullcontext()) as pool:
+        for res in (pool.map if pool else map)(_run_fold, jobs):
             results.append(res)
             if progress is not None:
                 progress(res)

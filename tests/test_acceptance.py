@@ -138,7 +138,7 @@ class TestCriterion1GradientCorrectness:
             X = Tensor(np.stack([np.ravel(i) for i in bag.instances]))
 
             def relu_mask():
-                return model._feature_stack(X, False, None).data > 0
+                return model._embed(X, False, None).data > 0
 
             base_mask = relu_mask()
             loss_bag(base_out.probs, bag.labels).backward()
@@ -220,7 +220,7 @@ class TestCriterion3PermutationInvariance:
             insts = [rng.standard_normal(5) for _ in range(m)]
             # verify the single-link decision distances on the clustering
             # embeddings are pairwise distinct
-            H = models["hamil"]._feature_stack(
+            H = models["hamil"]._embed(
                 Tensor(np.stack(insts)), False, None).data
             d = np.linalg.norm(H[:, None] - H[None, :], axis=-1)
             off = d[np.triu_indices(m, 1)]

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hamil import cli
 from hamil.cli import (ConfigError, build_run_spec, load_config_file, main,
                        resolve_config)
 from hamil.data import Bag, Dataset, save_bag_csv
@@ -152,6 +153,24 @@ class TestRunCommand:
             payload = json.load(f)
         assert len(payload["folds"]) == 2
         assert "accuracy" in payload["summary"]
+
+    def test_precision_flag_overrides_config(self, tmp_path, monkeypatch,
+                                             capsys):
+        out_dir = str(tmp_path / "runs")
+        text = MINI_CONFIG.replace('output_dir = "{out}"',
+                                   'output_dir = "{out}"\nprecision = "f64"')
+        cfg = write_config(tmp_path, text=text, out=out_dir)
+        seen = []
+        real_run_cv = cli.run_cv
+
+        def spy(spec, progress=None):
+            seen.append(spec.precision)
+            return real_run_cv(spec, progress)
+        monkeypatch.setattr(cli, "run_cv", spy)
+        assert main(["run", "--config", cfg, "--precision", "f32"]) == 0
+        assert seen == ["f32"]
+        with open(os.path.join(out_dir, "resolved_config.json")) as f:
+            assert json.load(f)["experiment"]["precision"] == "f32"
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.toml"

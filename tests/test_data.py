@@ -177,6 +177,21 @@ class TestCvPlan:
         assert a.assignment == b.assignment
         assert a.assignment != c.assignment
 
+    def test_multi_label_plan(self):
+        # no stratification: one permutation of all bags, dealt round robin
+        rng = np.random.default_rng(3)
+        bags = [Bag(f"b{i}", [rng.standard_normal(2)],
+                    (rng.random(4) < 0.5).astype(float)) for i in range(23)]
+        ds = Dataset("multi", bags, 2, 4)
+        plan = make_cv_plan(ds, repetitions=3, folds=5, base_seed=6)
+        for rep in range(3):
+            assignment = plan.assignment[rep]
+            assert sorted(assignment) == sorted(b.bag_id for b in bags)
+            counts = np.bincount(list(assignment.values()), minlength=5)
+            assert len(counts) == 5 and counts.max() - counts.min() <= 1
+        assert make_cv_plan(ds, 3, 5, base_seed=6).assignment == plan.assignment
+        assert make_cv_plan(ds, 3, 5, base_seed=7).assignment != plan.assignment
+
     def test_fold_split_keeps_bags_intact(self):
         ds = toy_dataset(n_bags=12)
         plan = make_cv_plan(ds, 1, 4, base_seed=2)

@@ -191,7 +191,8 @@ class TestImagePathway:
         model = build_model("image", AggregatorSpec(kind="hamil", kernel_size=3),
                             image_size=8, seed=3)
         bag = self.img_bag(rng, m=4)
-        feats = [model._extract(img) for img in bag.instances]
+        feats = [model._embed(Tensor(img), False, None)
+                 for img in bag.instances]
         aggregated, _ = model._aggregate(T.stack(feats), False, None,
                                          [f.data.ravel() for f in feats])
         logits = aggregated.data.mean(axis=(1, 2)) @ model.head_w.data \

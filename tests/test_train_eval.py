@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from hamil import tensor as T
-from hamil import train_eval
+from hamil import aggregators, train_eval
 from hamil.aggregators import AggregatorSpec
 from hamil.data import Bag, Dataset, MotifSpec, make_cv_plan, synth_image_bags
 from hamil.models import build_model
@@ -119,6 +120,29 @@ class TestTrain:
               OptimizerConfig(epochs=1, bags_per_step=4), seed=9)
         for p in model.parameters().values():
             assert np.all(np.isfinite(p.data))
+
+
+    @pytest.mark.parametrize("pathway", ["vector", "image"])
+    def test_train_and_evaluate_compute_no_scores(self, monkeypatch, pathway):
+        # instance scores are for inspection only; no step may pay for them
+        def refuse(*args):
+            raise AssertionError("instance_scores called")
+        monkeypatch.setattr(aggregators, "instance_scores", refuse)
+        if pathway == "vector":
+            bags = separable_dataset(n=6).bags
+            model = build_model("vector", AggregatorSpec(kernel_size=3),
+                                feature_dim=4, seed=1)
+        else:
+            bags = synth_image_bags(6, (2, 3), MotifSpec(image_size=8,
+                                                         motif_size=2),
+                                    seed=3).bags
+            model = build_model("image", AggregatorSpec(kernel_size=3),
+                                image_size=8, seed=1)
+        train(model, bags, OptimizerConfig(epochs=1, learning_rate=1e-3),
+              seed=0)
+        evaluate(model, bags)
+        with pytest.raises(AssertionError, match="instance_scores"):
+            model.forward_bag(bags[0]).scores
 
 
 class TestAuc:
@@ -276,6 +300,26 @@ class TestRunCv:
         finally:
             T.set_default_dtype("f64")
         assert seen == [{np.dtype(dtype)}]
+
+    @pytest.mark.parametrize("pathway,precision",
+                             [("vector", "f64"), ("vector", "f32"),
+                              ("image", "f64")])
+    def test_worker_pool_matches_serial(self, pathway, precision):
+        spec = self.small_spec(precision=precision)
+        if pathway == "image":
+            spec.dataset = synth_image_bags(
+                8, (2, 3), MotifSpec(image_size=8, motif_size=2), seed=3)
+            spec.pathway, spec.image_size = "image", 8
+        pooled = run_cv(dataclasses.replace(spec, workers=2))
+        assert run_cv(spec).folds == pooled.folds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_precision_restored(self, workers):
+        try:
+            run_cv(self.small_spec(precision="f32", workers=workers))
+            assert Tensor(1.0).data.dtype == np.float64
+        finally:
+            T.set_default_dtype("f64")
 
     def test_image_pathway_smoke(self):
         ds = synth_image_bags(10, (2, 3), MotifSpec(image_size=8, motif_size=2),
