@@ -6,8 +6,8 @@ i's feature, to a single feature of the row shape. The conv units come in
 1-D (length-D vectors, used for the classic benchmarks) and 2-D (C x H x W
 feature maps) modes; one shared parameter set is reused by every merge
 step. hamil, hamil_a and ramil all replay a binary merge tree: hamil and
-ramil with the 1-layer 1-D unit as one `conv1d_replay` node, everything
-else (hamil_a, 2-D units, layers >= 2, batchnorm) one merge at a time.
+ramil with a 1-layer unit, 1-D or 2-D, as one `conv_replay` node; hamil_a,
+layers >= 2 and batchnorm one merge at a time.
 """
 
 from __future__ import annotations
@@ -105,12 +105,8 @@ class AggUnitParams:
         spec = AggregatorSpec(kind=spec.kind, layers=1, kernel_size=spec.kernel_size,
                               use_batchnorm=False)
         p = cls(spec, mode, np.random.default_rng(0))
-        k = spec.kernel_size
         w = np.zeros(p.weights[0].data.shape)
-        if mode == "1d":
-            w[0, :, k // 2] = 0.5
-        else:
-            w[0, :, k // 2, k // 2] = 0.5
+        w[0, :, *[spec.kernel_size // 2] * (w.ndim - 2)] = 0.5   # center taps
         p.weights[0].data = w
         p.biases[0].data = np.zeros(1)
         return p
@@ -119,10 +115,10 @@ class AggUnitParams:
 def _unit_forward(x: Tensor, params: AggUnitParams, training: bool) -> Tensor:
     """Run the stacked conv unit on x[..., 2, *S], returning x[..., 1, *S].
     Batchnorm pools its one channel over the whole flattened output."""
-    conv = T.conv1d if params.mode == "1d" else T.conv2d
     h = x
     for layer in range(params.layers):
-        h = conv(h, params.weights[layer], params.biases[layer], params.padding)
+        h = T.conv2d(h, params.weights[layer], params.biases[layer],
+                     params.padding)
         if layer < len(params.bn_state):     # after inner layers, or a lone one
             shape = h.data.shape
             h = T.batchnorm(T.reshape(h, (1, -1)), params.bn_gamma[layer],
@@ -176,14 +172,13 @@ def _replay(X: Tensor, lefts, rights, merge_fn) -> Tensor:
 
 def _unit_replay(X: Tensor, lefts, rights, params: AggUnitParams,
                  training: bool) -> Tensor:
-    """Replay a merge tree through the shared conv unit: the 1-layer 1-D
-    unit without batchnorm is one conv1d per merge, so the whole tree is one
-    `conv1d_replay` node, bit-identical to the per-merge `aggregate_pair`
+    """Replay a merge tree through the shared conv unit: a 1-layer unit
+    without batchnorm is one conv2d per merge, so the whole tree is one
+    `conv_replay` node, bit-identical to the per-merge `aggregate_pair`
     tape that every other unit builds."""
-    if params.mode == "1d" and params.layers == 1 and not params.bn_state \
-            and lefts:
-        return T.conv1d_replay(X, lefts, rights, params.weights[0],
-                               params.biases[0])
+    if params.layers == 1 and not params.bn_state:
+        return T.conv_replay(X, lefts, rights, params.weights[0],
+                             params.biases[0])
     return _replay(X, lefts, rights,
                    lambda a, b: aggregate_pair(a, b, params, training))
 

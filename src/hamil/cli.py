@@ -29,7 +29,7 @@ from .data import (CONVERTERS, Bag, DataFormatError, MotifSpec, load_bag_csv,
                    save_bag_csv, synth_image_bags)
 from .models import ImagePathwayModel, load_model
 from .tensor import (Tensor, bce_loss, conv2d, fully_connected, mul, sigmoid,
-                     sum_all)
+                     stack, sum_all)
 from .train_eval import (OptimizerConfig, RunSpec, TrainingDivergedError,
                          auc_score, run_cv)
 
@@ -293,7 +293,8 @@ def cmd_scores(args) -> int:
 def cmd_selftest(args) -> int:
     """Fast sanity suite: autodiff vs finite differences, clustering vs a
     literal re-scan agglomerator, AUC vs the pairwise oracle, batched conv2d
-    vs a literal loop, the fused 1-D merge replay vs the per-merge tape."""
+    vs a literal loop, the fused merge replay of vectors and of maps vs the
+    per-merge tape."""
     failures = 0
 
     def report(name, ok):
@@ -351,32 +352,33 @@ def cmd_selftest(args) -> int:
            np.allclose(fast, oracles.loop_conv2d(x, w, b, padding=1),
                        rtol=0, atol=1e-12))
 
-    unit = AggUnitParams(AggregatorSpec(kernel_size=3), "1d", rng)
-    # four separated clusters of four: merges with a merge on each side,
-    # where the kernel gradient's summation order shows
-    feats = 4 * rng.standard_normal((4, 8))[np.arange(16) % 4] \
-        + rng.standard_normal((16, 8))
-    queue = build_hierarchy(feats)
-    g = Tensor(rng.standard_normal(8))
-    params = list(unit.named_params().values())
-    runs = []
-    for fused in (True, False):
-        for p in params:
-            p.grad = None
-        if fused:
-            X = Tensor(feats, requires_grad=True)
-            out = hamil_aggregate(X, queue, unit)
-        else:
+    ok = True
+    for mode, shape in (("1d", (8,)), ("2d", (3, 4, 4))):
+        unit = AggUnitParams(AggregatorSpec(kernel_size=3), mode, rng)
+        # four separated clusters of four: merges with a merge on each
+        # side, where the kernel gradient's summation order shows
+        feats = 4 * rng.standard_normal((4, *shape))[np.arange(16) % 4] \
+            + rng.standard_normal((16, *shape))
+        queue = build_hierarchy(feats)
+        g = Tensor(rng.standard_normal(shape))
+        params = list(unit.named_params().values())
+        runs = []
+        for fused in (True, False):
+            for p in params:
+                p.grad = None
             xs = [Tensor(f, requires_grad=True) for f in feats]
-            slots = dict(enumerate(xs, start=1))
-            for t in queue:
-                out = slots[t.new] = aggregate_pair(
-                    slots.pop(t.left), slots.pop(t.right), unit)
-        sum_all(mul(out, g)).backward()
-        leaf_grads = list(X.grad) if fused else [x.grad for x in xs]
-        runs.append([a.tobytes() for a in (out.data, *leaf_grads,
-                                           *(p.grad for p in params))])
-    report("fused merge replay matches per-merge tape", runs[0] == runs[1])
+            if fused:
+                out = hamil_aggregate(stack(xs), queue, unit)
+            else:
+                slots = dict(enumerate(xs, start=1))
+                for t in queue:
+                    out = slots[t.new] = aggregate_pair(
+                        slots.pop(t.left), slots.pop(t.right), unit)
+            sum_all(mul(out, g)).backward()
+            runs.append([a.tobytes() for a in (out.data, *(x.grad for x in xs),
+                                               *(p.grad for p in params))])
+        ok = ok and runs[0] == runs[1]
+    report("fused merge replay matches per-merge tape", ok)
 
     return 1 if failures else 0
 

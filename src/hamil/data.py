@@ -92,11 +92,8 @@ def save_bag_csv(dataset: Dataset, path: str) -> None:
 
 
 def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def load_bag_csv(path: str, name: Optional[str] = None) -> Dataset:
@@ -112,8 +109,7 @@ def load_bag_csv(path: str, name: Optional[str] = None) -> Dataset:
         if header[0] != "bag_id" or k == 0 or D == 0 or len(header) != 1 + k + D:
             raise DataFormatError(
                 f"{path}: bad header; expected bag_id,label_*...,f_*...")
-        order: List[str] = []
-        rows: Dict[str, List[np.ndarray]] = {}
+        rows: Dict[str, List[np.ndarray]] = {}   # in file order
         labels: Dict[str, np.ndarray] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -125,18 +121,17 @@ def load_bag_csv(path: str, name: Optional[str] = None) -> Dataset:
             lab = np.asarray([float(v) for v in row[1:1 + k]])
             feat = np.asarray([float(v) for v in row[1 + k:]])
             if bid not in rows:
-                order.append(bid)
                 rows[bid] = []
                 labels[bid] = lab
             elif not np.array_equal(labels[bid], lab):
                 raise DataFormatError(
                     f"{path}:{lineno}: bag {bid!r} has inconsistent labels")
             rows[bid].append(feat)
-    if not order:
+    if not rows:
         raise DataFormatError(f"{path}: no instance rows")
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
-    bags = [Bag(bid, rows[bid], labels[bid]) for bid in order]
+    bags = [Bag(bid, rows[bid], labels[bid]) for bid in rows]
     ds = Dataset(name, bags, D, k)
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
@@ -282,8 +277,7 @@ def convert_c45(in_path: str, name: Optional[str] = None) -> Dataset:
     (Musk clean1/clean2 and the bag-annotated Fox/Tiger/Elephant files):
     comma-separated rows of bag_name, instance_name, D features, class.
     """
-    order: List[str] = []
-    rows: Dict[str, List[np.ndarray]] = {}
+    rows: Dict[str, List[np.ndarray]] = {}   # in file order
     labels: Dict[str, float] = {}
     D = None
     with open(in_path) as f:
@@ -308,7 +302,6 @@ def convert_c45(in_path: str, name: Optional[str] = None) -> Dataset:
                     f"{in_path}:{lineno}: {feats.shape[0]} features, expected {D}")
             label = 1.0 if label > 0.5 else 0.0
             if bid not in rows:
-                order.append(bid)
                 rows[bid] = []
                 labels[bid] = label
             elif labels[bid] != label:
@@ -319,7 +312,7 @@ def convert_c45(in_path: str, name: Optional[str] = None) -> Dataset:
         raise DataFormatError(f"{in_path}: no data rows")
     if name is None:
         name = os.path.splitext(os.path.basename(in_path))[0]
-    bags = [Bag(bid, rows[bid], np.asarray([labels[bid]])) for bid in order]
+    bags = [Bag(bid, rows[bid], np.asarray([labels[bid]])) for bid in rows]
     return Dataset(name, bags, int(D), 1)
 
 

@@ -1,11 +1,11 @@
 """Minimal dense tensor with reverse-mode automatic differentiation.
 
 Covers exactly the operations the aggregation networks need: affine layers,
-1D/2D cross-correlation, a tree of 1-D pair merges as one node
-(conv1d_replay), pointwise nonlinearities, dropout, batchnorm,
-reductions (max/mean/sum/log-sum-exp), stacking/indexing, and BCE loss.
-conv2d and maxpool2d take leading batch axes (x[..., C, H, W]); otherwise
-no broadcasting beyond scalars, no higher-order derivatives, CPU only.
+one cross-correlation for vectors and maps (conv2d), a tree of its pair
+merges as one node (conv_replay), pointwise nonlinearities, dropout,
+batchnorm, reductions (max/mean/sum/log-sum-exp), stacking/indexing, and BCE
+loss. conv2d and maxpool2d take leading batch axes (x[..., C, H, W]);
+otherwise no broadcasting beyond scalars, no higher-order derivatives, CPU.
 """
 
 from __future__ import annotations
@@ -144,10 +144,8 @@ def _needs_grad(t: Tensor) -> bool:
 
 def _node(data, parents, backward) -> Tensor:
     if any(_needs_grad(p) for p in parents):
-        out = Tensor(data, _parents=tuple(parents), _backward=backward)
-    else:
-        out = Tensor(data)
-    return out
+        return Tensor(data, _parents=tuple(parents), _backward=backward)
+    return Tensor(data)
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
@@ -383,165 +381,152 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 # -- convolutions ------------------------------------------------------------
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[Cin, L] with weight[Cout, Cin, k], zero padded."""
-    if x.data.ndim != 2 or weight.data.ndim != 3:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Cross-correlation of x[..., Cin, H, W] with weight[Cout, Cin, kh, kw],
+    zero padded on both spatial axes. Vectors x[..., Cin, L] under
+    weight[Cout, Cin, k] are 1 x L maps under a 1 x k kernel, padded along L
+    only. The leading axes of x are flattened into one batch for a single
+    einsum; gradients come back in the caller's shapes."""
+    vector = weight.data.ndim == 3
+    if weight.data.ndim not in (3, 4) or x.data.ndim < weight.data.ndim - 1:
         raise ShapeError(
-            f"conv1d: x {x.data.shape} must be (Cin, L) and "
-            f"weight {weight.data.shape} must be (Cout, Cin, k)")
-    cin, L = x.data.shape
-    cout, wcin, k = weight.data.shape
+            f"conv2d: x {x.data.shape} and weight {weight.data.shape} must be "
+            "(..., Cin, H, W) and (Cout, Cin, kh, kw), or vectors (..., Cin, L) "
+            "and (Cout, Cin, k)")
+    xs, w = (x.data[..., None, :], weight.data[:, :, None]) if vector \
+        else (x.data, weight.data)
+    *lead, cin, H, W = xs.shape
+    cout, wcin, kh, kw = w.shape
+    ph = 0 if vector else padding
     if wcin != cin:
         raise ShapeError(
-            f"conv1d: input channels {cin} vs kernel channels {wcin}")
+            f"conv2d: input channels {cin} vs kernel channels {wcin}")
     if bias.data.shape != (cout,):
-        raise ShapeError(f"conv1d: bias {bias.data.shape}, expected ({cout},)")
-    if k > L + 2 * padding:
+        raise ShapeError(f"conv2d: bias {bias.data.shape}, expected ({cout},)")
+    if kh > H + 2 * ph or kw > W + 2 * padding:
         raise ShapeError(
-            f"conv1d: kernel size {k} exceeds padded length {L + 2 * padding}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding)))
-    win = sliding_window_view(xp, k, axis=1)          # (Cin, L', k)
-    out = _conv1d_out(win, weight.data, bias.data)
+            f"conv2d: kernel {weight.data.shape[2:]} exceeds padded input "
+            f"({H + 2 * ph},{W + 2 * padding})")
+    pad = ((0, 0), (0, 0), (ph, ph), (padding, padding))
+    xp = np.pad(xs.reshape(-1, cin, H, W), pad)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))   # (N, Cin, H', W', kh, kw)
+    out = _conv_out(win, w, bias.data)
 
     def backward(g):
-        gp = np.pad(g, ((0, 0), (k - 1, k - 1)))
-        gwin = sliding_window_view(gp, k, axis=1)     # (Cout, L'+k-1, k)
-        gx_p = _conv1d_grad_input(gwin, weight.data)  # padded-x shape
-        gx = gx_p[:, padding:padding + L] if padding else gx_p
-        return [(x, gx), (weight, _conv1d_grad_weight(win, g)),
-                (bias, g.sum(axis=1))]
-    return _node(out, (x, weight, bias), backward)
+        g = g.reshape(out.shape)
+        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        gx = _conv_grad_input(gwin, w)[:, :, ph:ph + H, padding:padding + W]
+        return [(x, gx.reshape(x.data.shape)),
+                (weight, _conv_grad_weight(win, g).reshape(weight.data.shape)),
+                (bias, g.sum(axis=(0, 2, 3)))]
+    spatial = out.shape[3:] if vector else out.shape[2:]
+    return _node(out.reshape(*lead, cout, *spatial), (x, weight, bias), backward)
 
 
-# conv1d's arithmetic, shared with conv1d_replay so both sum in one order
+# conv2d's arithmetic, shared with conv_replay so both sum in one order
 
 
-def _conv1d_out(win, w, b):
-    """win[Cin, L', k] windows of the padded input against w[Cout, Cin, k]."""
-    return np.einsum("ilk,oik->ol", win, w) + b[:, None]
+def _conv_out(win, w, b):
+    """win[N, Cin, H', W', kh, kw] windows of the padded input against
+    w[Cout, Cin, kh, kw]."""
+    return np.einsum("nihwuv,oiuv->nohw", win, w) + b[:, None, None]
 
 
-def _conv1d_grad_weight(win, g):
-    return np.einsum("ilk,ol->oik", win, g)
+def _conv_grad_weight(win, g):
+    return np.einsum("nihwuv,nohw->oiuv", win, g)
 
 
-def _conv1d_grad_input(gwin, w):
-    """gwin[Cout, L'+k-1, k] windows of the (k-1)-padded output gradient
-    against the flipped kernel: the gradient of the padded input."""
-    return np.einsum("olk,oik->il", gwin, w[:, :, ::-1])
+def _conv_grad_input(gwin, w):
+    """gwin windows of the (kh-1, kw-1)-padded output gradient against the
+    flipped kernel: the gradient of the padded input."""
+    return np.einsum("nohwuv,oiuv->nihw", gwin, w[:, :, ::-1, ::-1])
 
 
-def conv1d_replay(X: Tensor, lefts: Sequence[int], rights: Sequence[int],
-                  weight: Tensor, bias: Tensor) -> Tensor:
-    """A tree of 2->1 conv1d merges over the rows of X[m, D], as one node.
+def conv_replay(X: Tensor, lefts: Sequence[int], rights: Sequence[int],
+                weight: Tensor, bias: Tensor) -> Tensor:
+    """A tree of 2->1 conv2d merges over the instances of X, as one node.
 
-    Slots 0..m-1 hold the rows of X; merge j reads slots lefts[j] and
-    rights[j] as the two input channels of a length-preserving conv1d with
-    weight[1, 2, k] (k odd, padding k // 2) and writes slot m+j. Every slot
-    but the last is read exactly once, so the merges form one tree whose
-    root, the last merge, is returned.
+    X[m, D] holds vectors, each the 1 x D map conv2d makes of it under a
+    weight[1, 2, k]; X[m, C, H, W] holds maps, whose C channels are the
+    batch of one conv2d under weight[1, 2, kh, kw]. Kernel sides are odd and
+    padded to keep the instance shape. Slots 0..m-1 hold the instances;
+    merge j reads slots lefts[j] and rights[j] as the conv's two input
+    channels and writes slot m+j. Every slot but the last is read exactly
+    once, so the merges form one tree whose root, the last merge, is
+    returned; with one instance and no merge, that instance is.
 
-    Values and gradients equal, bit for bit, those of ``conv1d`` run merge
-    by merge on ``stack([left, right])`` of the rows: the same einsums on
-    windows of the same layout, and the kernel and bias gradients summed in
-    the order ``Tensor.backward`` visits the per-merge nodes, which is
-    pre-order from the root (a merge, then its left subtree, then its right
-    subtree).
+    Values and gradients equal, bit for bit, those of ``conv2d`` run merge
+    by merge on the left and right instances stacked on the channel axis:
+    the same einsums on windows of the same layout, and the kernel and bias
+    gradients summed in the order ``Tensor.backward`` visits the per-merge
+    nodes, which is pre-order from the root (a merge, then its left
+    subtree, then its right subtree).
     """
-    if X.data.ndim != 2 or X.data.shape[1] < 1:
-        raise ShapeError(
-            f"conv1d_replay: X {X.data.shape} must be (m, D) vectors, D >= 1")
-    m, D = X.data.shape
+    vector = X.data.ndim == 2
+    if X.data.ndim not in (2, 4) or 0 in X.data.shape:
+        raise ShapeError(f"conv_replay: X {X.data.shape} must be (m, D) "
+                         "vectors or (m, C, H, W) maps, all sides >= 1")
+    m = X.data.shape[0]
+    C, H, W = (1, 1, X.data.shape[1]) if vector else X.data.shape[1:]
     n = m - 1
-    if n < 1 or len(lefts) != n or len(rights) != n:
+    if len(lefts) != n or len(rights) != n:
         raise ShapeError(
-            f"conv1d_replay: {m} inputs need {max(n, 0)} merges (at least 1), "
+            f"conv_replay: {m} inputs need {n} merges, "
             f"got {len(lefts)} lefts and {len(rights)} rights")
-    if weight.data.ndim != 3 or weight.data.shape[:2] != (1, 2) \
-            or weight.data.shape[2] % 2 == 0:
+    kernel = weight.data.shape
+    if len(kernel) != X.data.ndim + vector or kernel[:2] != (1, 2) \
+            or any(side % 2 == 0 for side in kernel[2:]):
         raise ShapeError(
-            f"conv1d_replay: weight {weight.data.shape} must be (1, 2, k), k odd")
-    k = weight.data.shape[2]
-    padding = k // 2
+            f"conv_replay: weight {kernel} must be (1, 2, k) for vectors or "
+            "(1, 2, kh, kw) for maps, kernel sides odd")
+    w = weight.data[:, :, None] if vector else weight.data
     if bias.data.shape != (1,):
-        raise ShapeError(f"conv1d_replay: bias {bias.data.shape}, expected (1,)")
+        raise ShapeError(f"conv_replay: bias {bias.data.shape}, expected (1,)")
+    if n == 0:
+        return getitem(X, 0)            # a one-instance tree is its instance
+    kh, kw = w.shape[2:]
     # reader[s] = (merge, channel) that reads slot s; the root has none
     reader_j = np.full(m + n, -1)
     reader_c = np.zeros(m + n, dtype=np.intp)
     for j, pair in enumerate(zip(lefts, rights)):
         for c, s in enumerate(pair):
             if not 0 <= s < m + j or reader_j[s] >= 0:
-                raise GraphError(f"conv1d_replay: merge {j} reads slot {s}, "
+                raise GraphError(f"conv_replay: merge {j} reads slot {s}, "
                                  "which is unwritten or already read")
             reader_j[s], reader_c[s] = j, c
-    cols = slice(padding, padding + D)
-    P = np.zeros((n, 2, D + 2 * padding), dtype=_DEFAULT_DTYPE)
-    P[reader_j[:m], reader_c[:m], cols] = X.data
-    win = sliding_window_view(P, k, axis=2)           # (n, 2, D, k)
+    rows, cols = slice(kh // 2, kh // 2 + H), slice(kw // 2, kw // 2 + W)
+    P = np.zeros((n, C, 2, H + kh - 1, W + kw - 1), dtype=_DEFAULT_DTYPE)
+    P[reader_j[:m], :, reader_c[:m], rows, cols] = X.data.reshape(m, C, H, W)
+    win = sliding_window_view(P, (kh, kw), axis=(3, 4))  # (n, C, 2, H, W, kh, kw)
     for j in range(n - 1):
-        P[reader_j[m + j], reader_c[m + j], cols] = \
-            _conv1d_out(win[j], weight.data, bias.data)[0]
-    out = _conv1d_out(win[n - 1], weight.data, bias.data)
+        P[reader_j[m + j], :, reader_c[m + j], rows, cols] = \
+            _conv_out(win[j], w, bias.data)[:, 0]
+    out = _conv_out(win[n - 1], w, bias.data)            # (C, 1, H, W)
 
     def backward(g):
-        G = np.zeros((1, D + 2 * (k - 1)), dtype=g.dtype)
-        gwin = sliding_window_view(G, k, axis=1)      # (1, D+k-1, k)
-        gout = {n - 1: g.reshape(1, D)}
-        gX, gw, gb = np.zeros((m, D), dtype=g.dtype), None, None
+        G = np.zeros((C, 1, H + 2 * (kh - 1), W + 2 * (kw - 1)), dtype=g.dtype)
+        gwin = sliding_window_view(G, (kh, kw), axis=(2, 3))
+        gout = {n - 1: g.reshape(C, 1, H, W)}
+        gX, gw, gb = np.zeros((m, C, H, W), dtype=g.dtype), None, None
         todo = [n - 1]
         while todo:
             j = todo.pop()
             gj = gout.pop(j)
-            gwj, gbj = _conv1d_grad_weight(win[j], gj), gj.sum(axis=1)
+            gwj, gbj = _conv_grad_weight(win[j], gj), gj.sum(axis=(0, 2, 3))
             gw = gwj if gw is None else gw + gwj
             gb = gbj if gb is None else gb + gbj
-            G[:, k - 1:k - 1 + D] = gj
-            gx = _conv1d_grad_input(gwin, weight.data)[:, cols]
-            for s, row in ((lefts[j], gx[0]), (rights[j], gx[1])):
+            G[:, :, kh - 1:kh - 1 + H, kw - 1:kw - 1 + W] = gj
+            gx = _conv_grad_input(gwin, w)[:, :, rows, cols]
+            for s, part in ((lefts[j], gx[:, 0]), (rights[j], gx[:, 1])):
                 if s < m:
-                    gX[s] = row
+                    gX[s] = part
                 else:
-                    gout[s - m] = row.reshape(1, D)
+                    gout[s - m] = part.reshape(C, 1, H, W)
             todo.extend(s - m for s in (rights[j], lefts[j]) if s >= m)
-        return [(X, gX), (weight, gw), (bias, gb)]
-    return _node(out.reshape(D), (X, weight, bias), backward)
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[..., Cin, H, W] with weight[Cout, Cin, kh, kw];
-    the leading axes of x are flattened into one batch for a single einsum."""
-    if x.data.ndim < 3 or weight.data.ndim != 4:
-        raise ShapeError(
-            f"conv2d: x {x.data.shape} must be (..., Cin, H, W) and "
-            f"weight {weight.data.shape} must be (Cout, Cin, kh, kw)")
-    *lead, cin, H, W = x.data.shape
-    cout, wcin, kh, kw = weight.data.shape
-    if wcin != cin:
-        raise ShapeError(
-            f"conv2d: input channels {cin} vs kernel channels {wcin}")
-    if bias.data.shape != (cout,):
-        raise ShapeError(f"conv2d: bias {bias.data.shape}, expected ({cout},)")
-    if kh > H + 2 * padding or kw > W + 2 * padding:
-        raise ShapeError(
-            f"conv2d: kernel ({kh},{kw}) exceeds padded input "
-            f"({H + 2 * padding},{W + 2 * padding})")
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data.reshape(-1, cin, H, W), pad)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))   # (N, Cin, H', W', kh, kw)
-    out = np.einsum("nihwuv,oiuv->nohw", win, weight.data) \
-        + bias.data[:, None, None]
-
-    def backward(g):
-        g = g.reshape(out.shape)
-        gw = np.einsum("nihwuv,nohw->oiuv", win, g)
-        gb = g.sum(axis=(0, 2, 3))
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        wf = weight.data[:, :, ::-1, ::-1]
-        gx_p = np.einsum("nohwuv,oiuv->nihw", gwin, wf)
-        gx = gx_p[:, :, padding:padding + H, padding:padding + W] if padding else gx_p
-        return [(x, gx.reshape(x.data.shape)), (weight, gw), (bias, gb)]
-    return _node(out.reshape(*lead, *out.shape[1:]), (x, weight, bias), backward)
+        return [(X, gX.reshape(X.data.shape)),
+                (weight, gw.reshape(weight.data.shape)), (bias, gb)]
+    return _node(out.reshape(X.data.shape[1:]), (X, weight, bias), backward)
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
@@ -632,15 +617,19 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
 # -- losses ------------------------------------------------------------------
 
 def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean binary cross entropy; probabilities clamped to [eps, 1-eps]."""
+    """Mean binary cross entropy; probabilities clamped to [eps, 1-eps], or
+    below 1 by the dtype's spacing where 1-eps rounds to 1 (float32)."""
     if pred.data.shape != target.data.shape:
         raise ShapeError(
             f"bce_loss: pred {pred.data.shape} vs target {target.data.shape}")
-    p = np.clip(pred.data, BCE_EPS, 1.0 - BCE_EPS)
+    hi = pred.data.dtype.type(1.0 - BCE_EPS)
+    if hi == 1.0:
+        hi = np.nextafter(hi, 0)
+    p = np.clip(pred.data, BCE_EPS, hi)
     t = target.data
     n = p.size
     loss = float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
-    inside = (pred.data > BCE_EPS) & (pred.data < 1.0 - BCE_EPS)
+    inside = (pred.data > BCE_EPS) & (pred.data < hi)
 
     def backward(g):
         gp = np.where(inside, (-t / p + (1.0 - t) / (1.0 - p)) / n, 0.0)

@@ -80,8 +80,8 @@ class TestCriterion1GradientCorrectness:
             ("matmul", a, lambda t: S(T.matmul(t, w1))),
             ("fully_connected", a,
              lambda t: S(T.fully_connected(t, w1, bias))),
-            ("conv1d", pair,
-             lambda t: S(T.conv1d(t, k1, Tensor(np.zeros(1)), padding=1))),
+            ("conv2d_vector", pair,
+             lambda t: S(T.conv2d(t, k1, Tensor(np.zeros(1)), padding=1))),
             ("conv2d", img,
              lambda t: S(T.conv2d(t, k2, Tensor(np.zeros(2)), padding=1))),
             ("maxpool2d", img * 3.0, lambda t: S(T.maxpool2d(t, 2))),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from hamil.aggregators import (AggregatorSpec, AggUnitParams, AttentionParams,
                                attention_aggregate, canonical_order,
                                hamil_a_aggregate, hamil_aggregate,
                                instance_scores, pool_aggregate, ramil_aggregate)
-from hamil.data import Bag
+from hamil.data import Bag, MotifSpec, synth_image_bags
 from hamil.hierclust import MergeQueue, MergeTriplet, QueueIntegrityError, build_hierarchy
 from hamil.models import build_model
 from hamil.tensor import Tensor
@@ -226,8 +228,9 @@ ROWS = {
 
 
 class TestFusedReplay:
-    """The shipped unit (1-D, one layer, no batchnorm) replays a queue as one
-    conv1d_replay node; it must equal the per-merge tape bit for bit."""
+    """A 1-layer unit without batchnorm, the shipped one on vectors and on
+    maps, replays a queue as one conv_replay node; it must equal the
+    per-merge tape bit for bit."""
 
     @pytest.mark.parametrize("rows", sorted(ROWS))
     @pytest.mark.parametrize("k", [1, 3, 7])
@@ -288,13 +291,48 @@ class TestFusedReplay:
         monkeypatch.setattr(aggregators, "ramil_aggregate", ramil_fold)
         assert trained() == fused
 
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    @pytest.mark.parametrize("kind", ["hamil", "ramil"])
+    def test_maps_bit_identical_to_per_merge_conv2d(self, kind, rows):
+        rng = np.random.default_rng([3, sorted(ROWS).index(rows),
+                                     kind == "ramil"])
+        for k, c, s, m in itertools.product((1, 3, 5), (1, 4, 8), (1, 2, 4),
+                                            (1, 2, 3, 9, 31)):
+            X = ROWS[rows](rng, m, c * s * s).reshape(m, c, s, s)
+            params = make_unit("2d", k=k, seed=m)
+            g = rng.standard_normal((c, s, s))
+            fused, tape = (hamil_aggregate, generic_hamil) if kind == "hamil" \
+                else (seeded(ramil_aggregate, m), seeded(ramil_fold, m))
+            assert replay_bytes(fused, X, params, g) \
+                == replay_bytes(tape, X, params, g), (k, c, s, m)
+
+    @pytest.mark.parametrize("kind,name,tape", [
+        ("hamil", "hamil_aggregate", generic_hamil),
+        ("ramil", "ramil_aggregate", ramil_fold)])
+    def test_image_adam_training_bit_identical_to_per_merge_tape(
+            self, monkeypatch, kind, name, tape):
+        bags = synth_image_bags(8, (1, 6), MotifSpec(image_size=8,
+                                                     motif_size=2), seed=4).bags
+
+        def trained():
+            model = build_model("image", AggregatorSpec(kind=kind, kernel_size=3),
+                                image_size=8, seed=3)
+            train(model, bags, OptimizerConfig(kind="adam", learning_rate=1e-3,
+                                               epochs=3), seed=1)
+            return ([p.data.tobytes() for p in model.parameters().values()],
+                    [model.forward_bag(b).probs.data.tobytes() for b in bags])
+
+        fused = trained()
+        monkeypatch.setattr(aggregators, name, tape)
+        assert trained() == fused
+
     @pytest.mark.parametrize("kind,spec_kw,mode,shape,merges", [
         ("hamil", {}, "1d", (6,), 0),
         ("hamil", {"layers": 2}, "1d", (6,), 4),
         ("hamil", {"use_batchnorm": True}, "1d", (6,), 4),
-        ("hamil", {}, "2d", (2, 4, 4), 4),
+        ("hamil", {}, "2d", (2, 4, 4), 0),
         ("ramil", {}, "1d", (6,), 0),
-        ("ramil", {}, "2d", (2, 4, 4), 4),
+        ("ramil", {}, "2d", (2, 4, 4), 0),
     ])
     def test_generic_path_for_other_units(self, monkeypatch, rng, kind, spec_kw,
                                           mode, shape, merges):

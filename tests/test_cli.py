@@ -172,6 +172,16 @@ class TestRunCommand:
         with open(os.path.join(out_dir, "resolved_config.json")) as f:
             assert json.load(f)["experiment"]["precision"] == "f32"
 
+    def test_diverging_run_exits_1(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "runs")
+        text = MINI_CONFIG.replace("learning_rate = 0.001",
+                                   "learning_rate = 1e300")
+        cfg = write_config(tmp_path, text=text, out=out_dir)
+        assert main(["run", "--config", cfg, "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: rep 0 fold 0: non-finite loss")
+        assert not os.path.exists(os.path.join(out_dir, "result.json"))
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.toml"
         p.write_text('[data]\nsource = "nope"\n')

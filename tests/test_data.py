@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -74,6 +75,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError,
                            match=r"toy\.csv\.meta\.json has checksum="):
             load_bag_csv(str(path))
+
+    def test_sidecar_checksum_is_file_sha256(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        save_bag_csv(toy_dataset(), str(path))
+        with open(str(path) + ".meta.json") as f:
+            checksum = json.load(f)["checksum"]
+        assert checksum == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_two_bag_example(self, tmp_path):
         path = tmp_path / "mini.csv"

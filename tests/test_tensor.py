@@ -49,22 +49,22 @@ class TestFullyConnected:
 
 class TestConv1d:
     def test_delta_kernel(self):
-        out = T.conv1d(Tensor([[1.0, 2.0, 3.0]]),
+        out = T.conv2d(Tensor([[1.0, 2.0, 3.0]]),
                        Tensor([[[0.0, 1.0, 0.0]]]), Tensor([0.0]), padding=1)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_box_kernel_zero_padding(self):
-        out = T.conv1d(Tensor([[1.0, 1.0, 1.0]]),
+        out = T.conv2d(Tensor([[1.0, 1.0, 1.0]]),
                        Tensor([[[1.0, 1.0, 1.0]]]), Tensor([0.0]), padding=1)
         np.testing.assert_array_equal(out.data, [[2.0, 3.0, 2.0]])
 
     def test_kernel_too_large(self):
         with pytest.raises(T.ShapeError, match="kernel"):
-            T.conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 7))),
+            T.conv2d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 7))),
                      Tensor(np.zeros(1)), padding=1)
 
     def test_output_length(self):
-        out = T.conv1d(Tensor(np.zeros((2, 9))), Tensor(np.zeros((3, 2, 5))),
+        out = T.conv2d(Tensor(np.zeros((2, 9))), Tensor(np.zeros((3, 2, 5))),
                        Tensor(np.zeros(3)), padding=2)
         assert out.data.shape == (3, 9)
 
@@ -72,9 +72,9 @@ class TestConv1d:
         x = rng.standard_normal((2, 9))
         w = rng.standard_normal((2, 2, 7))
         b = rng.standard_normal(2)
-        grad_check(lambda t: T.sum_all(T.relu(T.conv1d(t, Tensor(w), Tensor(b), 3))), x)
-        grad_check(lambda t: T.sum_all(T.relu(T.conv1d(Tensor(x), t, Tensor(b), 3))), w)
-        grad_check(lambda t: T.sum_all(T.relu(T.conv1d(Tensor(x), Tensor(w), t, 3))), b)
+        grad_check(lambda t: T.sum_all(T.relu(T.conv2d(t, Tensor(w), Tensor(b), 3))), x)
+        grad_check(lambda t: T.sum_all(T.relu(T.conv2d(Tensor(x), t, Tensor(b), 3))), w)
+        grad_check(lambda t: T.sum_all(T.relu(T.conv2d(Tensor(x), Tensor(w), t, 3))), b)
 
 
 class TestConv1dReplay:
@@ -86,7 +86,7 @@ class TestConv1dReplay:
         slots = list(xs)
         for left, right in zip(self.LEFTS, self.RIGHTS):
             pair = T.stack([slots[left], slots[right]])
-            slots.append(T.reshape(T.conv1d(pair, w, b, padding), (-1,)))
+            slots.append(T.reshape(T.conv2d(pair, w, b, padding), (-1,)))
         return slots[-1]
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -99,7 +99,7 @@ class TestConv1dReplay:
         for fused in (True, False):
             xs = [Tensor(x, requires_grad=True) for x in X]
             w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
-            out = T.conv1d_replay(T.stack(xs), self.LEFTS, self.RIGHTS, w, b) \
+            out = T.conv_replay(T.stack(xs), self.LEFTS, self.RIGHTS, w, b) \
                 if fused else self.per_merge(xs, w, b, k // 2)
             T.sum_all(T.mul(out, Tensor(g))).backward()
             runs.append([a.tobytes() for a in
@@ -111,28 +111,51 @@ class TestConv1dReplay:
         w, b = rng.standard_normal((1, 2, 3)), rng.standard_normal(1)
 
         def loss(Xt, wt, bt):
-            out = T.conv1d_replay(Xt, self.LEFTS, self.RIGHTS, wt, bt)
+            out = T.conv_replay(Xt, self.LEFTS, self.RIGHTS, wt, bt)
             return T.sum_all(T.tanh(out))
 
         grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), X)
         grad_check(lambda t: loss(Tensor(X), t, Tensor(b)), w)
         grad_check(lambda t: loss(Tensor(X), Tensor(w), t), b)
 
+    def test_maps_gradients_match_finite_differences(self, rng):
+        # a small kernel keeps tanh off saturation through four merges
+        X = rng.standard_normal((5, 2, 3, 3))
+        w, b = 0.2 * rng.standard_normal((1, 2, 3, 3)), rng.standard_normal(1)
+
+        def loss(Xt, wt, bt):
+            out = T.conv_replay(Xt, self.LEFTS, self.RIGHTS, wt, bt)
+            return T.sum_all(T.tanh(out))
+
+        grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), X)
+        grad_check(lambda t: loss(Tensor(X), t, Tensor(b)), w)
+        grad_check(lambda t: loss(Tensor(X), Tensor(w), t), b)
+
+    def test_one_instance_is_its_row(self, rng):
+        X = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
+        out = T.conv_replay(X, [], [], Tensor(np.ones((1, 2, 3, 3))),
+                            Tensor(np.zeros(1)))
+        np.testing.assert_array_equal(out.data, X.data[0])
+
     def test_malformed_tree_rejected(self):
         X = Tensor(np.zeros((3, 4)))
         w, b = Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1))
         with pytest.raises(T.GraphError, match="slot 0"):
-            T.conv1d_replay(X, [0, 0], [1, 2], w, b)       # read twice
+            T.conv_replay(X, [0, 0], [1, 2], w, b)       # read twice
         with pytest.raises(T.GraphError, match="slot 4"):
-            T.conv1d_replay(X, [0, 2], [1, 4], w, b)       # not yet written
+            T.conv_replay(X, [0, 2], [1, 4], w, b)       # not yet written
         with pytest.raises(T.ShapeError, match="merges"):
-            T.conv1d_replay(X, [0], [1], w, b)
+            T.conv_replay(X, [0], [1], w, b)
         for shape in ((1, 1, 3), (1, 2, 2)):
             with pytest.raises(T.ShapeError, match="weight"):
-                T.conv1d_replay(X, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
+                T.conv_replay(X, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
         for shape in ((3, 4, 1), (3, 0), (4,)):
             with pytest.raises(T.ShapeError, match="vectors"):
-                T.conv1d_replay(Tensor(np.zeros(shape)), [0, 2], [1, 3], w, b)
+                T.conv_replay(Tensor(np.zeros(shape)), [0, 2], [1, 3], w, b)
+        maps = Tensor(np.zeros((3, 2, 4, 4)))
+        for shape in ((1, 2, 3), (1, 2, 3, 2), (1, 1, 3, 3)):
+            with pytest.raises(T.ShapeError, match="weight"):
+                T.conv_replay(maps, [0, 2], [1, 3], Tensor(np.zeros(shape)), b)
 
 
 class TestConv2d:
@@ -343,6 +366,21 @@ class TestBCELoss:
         p = rng.uniform(0.05, 0.95, size=6)
         t = (rng.random(6) > 0.5).astype(float)
         grad_check(lambda x: T.bce_loss(x, Tensor(t)), p)
+
+    def test_f32_confident_wrong_prediction_is_finite(self):
+        # 1 - BCE_EPS rounds to 1 in float32, where sigmoid(17) is already 1
+        T.set_default_dtype("f32")
+        try:
+            loss = T.bce_loss(Tensor([1.0]), Tensor([0.0]))
+        finally:
+            T.set_default_dtype("f64")
+        below_one = float(np.nextafter(np.float32(1), np.float32(0)))
+        assert loss.item() == pytest.approx(-math.log(1.0 - below_one),
+                                            rel=1e-6)
+
+    def test_f64_clips_at_one_minus_eps(self):
+        loss = T.bce_loss(Tensor([1.0]), Tensor([0.0]))
+        assert loss.item() == pytest.approx(-math.log(T.BCE_EPS), rel=1e-4)
 
 
 class TestBackward:

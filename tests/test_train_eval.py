@@ -8,8 +8,8 @@ from hamil import tensor as T
 from hamil import aggregators, train_eval
 from hamil.aggregators import AggregatorSpec
 from hamil.data import Bag, Dataset, MotifSpec, make_cv_plan, synth_image_bags
-from hamil.models import build_model
-from hamil.oracles import pairwise_auc
+from hamil.models import build_model, loss_bag
+from hamil.oracles import numeric_grad, pairwise_auc
 from hamil.tensor import Tensor
 from hamil.train_eval import (METRIC_NAMES, OptimizerConfig, RunSpec,
                               TrainingDivergedError, _Optimizer, auc_score,
@@ -111,6 +111,70 @@ class TestTrain:
             p.data = p.data * np.nan
         with pytest.raises(TrainingDivergedError):
             train(model, ds.bags, OptimizerConfig(epochs=1), seed=0)
+
+    def test_f32_saturated_bag_trains(self):
+        # scaled features saturate the f32 sigmoid at exactly 1.0 on a
+        # wrong bag within the first epochs; the clipped loss stays finite
+        rng = np.random.default_rng(0)
+        bags = [Bag(f"b{i}", list(10.0 * rng.standard_normal(
+                    (int(rng.integers(1, 16)), 6)) + 2 * (i % 2)),
+                    np.asarray([float(i % 2)])) for i in range(12)]
+        losses = []
+        T.set_default_dtype("f32")
+        try:
+            model = build_model("vector", AggregatorSpec(kind="ramil",
+                                                         kernel_size=3),
+                                feature_dim=6, seed=3)
+            train(model, bags, OptimizerConfig(learning_rate=0.01, epochs=3),
+                  seed=1, epoch_hook=lambda e, l: losses.append(l))
+        finally:
+            T.set_default_dtype("f64")
+        assert len(losses) == 3 and np.all(np.isfinite(losses))
+
+    @pytest.mark.parametrize("kind", ["attention", "gated_attention"])
+    def test_attention_parameters_train(self, kind):
+        ds = separable_dataset(n=8)
+        model = build_model("vector", AggregatorSpec(kind=kind), feature_dim=4,
+                            seed=2)
+        attn = {k: p.data.copy() for k, p in model.parameters().items()
+                if k.startswith("attn.")}
+        assert sorted(attn) == sorted(
+            ["attn.V", "attn.w"] + (["attn.U"] if kind == "gated_attention"
+                                    else []))
+        train(model, ds.bags, OptimizerConfig(epochs=1, learning_rate=1e-2),
+              seed=4)
+        params = model.parameters()
+        for k, before in attn.items():
+            assert not np.array_equal(params[k].data, before), k
+
+    @pytest.mark.parametrize("kind", ["attention", "gated_attention"])
+    def test_attention_gradients_match_finite_differences(self, kind):
+        bag = separable_dataset(n=2).bags[1]
+        model = build_model("vector", AggregatorSpec(kind=kind,
+                                                     attention_hidden=8),
+                            feature_dim=4, seed=5, dropout_rate=0.0)
+        params = model.parameters()
+
+        def loss():
+            out = model.forward_bag(bag, mode="eval")
+            return loss_bag(out.probs, bag.labels)
+
+        loss().backward()
+        for name in [k for k in params if k.startswith("attn.")]:
+            p = params[name]
+            value, grad = p.data, p.grad
+
+            def at(v):
+                p.data = v
+                try:
+                    return loss().item()
+                finally:
+                    p.data = value
+
+            # entries the ReLU features zero are exactly 0 in autodiff and
+            # rounding noise (~1e-11) in the differences
+            np.testing.assert_allclose(grad, numeric_grad(at, value),
+                                       rtol=1e-5, atol=1e-10, err_msg=name)
 
     def test_gradient_accumulation_changes_trajectory_not_shapes(self):
         ds = separable_dataset(n=8)
