@@ -44,6 +44,10 @@ class AggregatorSpec:
             raise ValueError(f"aggregation unit layers must be 1..3, got {self.layers}")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ValueError(f"kernel size must be odd, got {self.kernel_size}")
+        if self.attention_hidden < 1:
+            raise ValueError("attention_hidden must be at least 1")
+        if self.lse_r <= 0:
+            raise ValueError(f"lse_r must be positive, got {self.lse_r}")
 
     @property
     def needs_queue(self) -> bool:

@@ -158,21 +158,23 @@ def _load_dataset(cfg: Dict[str, Dict[str, Any]]):
                             motif, d["seed"])
 
 
-def _build_section(cls, cfg: Dict[str, Dict[str, Any]], section: str):
+def _build(section: str, cls, **kwargs):
     """Construct a section's dataclass; its own checks become ConfigErrors."""
     try:
-        return cls(**cfg[section])
+        return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{section}: {e}") from None
 
 
 def build_run_spec(cfg: Dict[str, Dict[str, Any]], workers=None) -> RunSpec:
     model, cv = cfg["model"], cfg["cv"]
-    return RunSpec(
+    # RunSpec's own checks cover only the [cv] keys
+    return _build(
+        "cv", RunSpec,
         dataset=_load_dataset(cfg),
         pathway=model["pathway"],
-        aggregator=_build_section(AggregatorSpec, cfg, "aggregator"),
-        optimizer=_build_section(OptimizerConfig, cfg, "optimizer"),
+        aggregator=_build("aggregator", AggregatorSpec, **cfg["aggregator"]),
+        optimizer=_build("optimizer", OptimizerConfig, **cfg["optimizer"]),
         repetitions=cv["repetitions"],
         folds=cv["folds"],
         base_seed=cv["base_seed"],
@@ -267,20 +269,18 @@ def cmd_scores(args) -> int:
     try:
         model = load_model(args.checkpoint)
         ds = load_bag_csv(args.dataset)
+        bag = next((b for b in ds.bags if b.bag_id == args.bag_id), None)
+        if bag is None:
+            raise ValueError(f"unknown bag_id {args.bag_id!r}")
+        if isinstance(model, ImagePathwayModel):
+            s = model.image_size
+            bag = Bag(bag.bag_id,
+                      [np.asarray(i).reshape(model.in_channels, s, s)
+                       for i in bag.instances], bag.labels)
+        out = model.forward_bag(bag, mode="eval")
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    bag = next((b for b in ds.bags if b.bag_id == args.bag_id), None)
-    if bag is None:
-        print(f"error: unknown bag_id {args.bag_id!r}", file=sys.stderr)
-        return 1
-    if isinstance(model, ImagePathwayModel):
-        s = model.image_size
-        bag = Bag(
-            bag.bag_id,
-            [np.asarray(i).reshape(model.in_channels, s, s) for i in bag.instances],
-            bag.labels)
-    out = model.forward_bag(bag, mode="eval")
     print(f"bag {bag.bag_id}: {bag.size} instances, "
           f"probs=" + " ".join(f"{p:.4f}" for p in out.probs.data))
     for i, score in enumerate(out.scores):

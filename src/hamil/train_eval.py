@@ -46,20 +46,24 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind: {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-
-
-def _decayable(name: str) -> bool:
-    # weight decay skips biases and batchnorm affine parameters
-    return name.endswith(".weight") or name.endswith(".V") \
-        or name.endswith(".U") or name.endswith(".w")
+        if self.epochs < 1 or self.bags_per_step < 1:
+            raise ValueError("epochs and bags_per_step must be at least 1")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
 
 
 class _Optimizer:
+    """SGD-momentum or Adam; one (tensor, decay, m, v) slot per parameter,
+    updated in place. Weight decay skips biases and batchnorm affines."""
+
     def __init__(self, params: dict, cfg: OptimizerConfig):
         self.params = params
         self.cfg = cfg
-        self.state = {name: {} for name in params}
         self.t = 0
+        self.slots = [
+            (p, cfg.weight_decay if name.endswith((".weight", ".V", ".U", ".w"))
+             else 0.0, np.zeros_like(p.data), np.zeros_like(p.data))
+            for name, p in params.items()]
 
     def zero_grad(self):
         for p in self.params.values():
@@ -67,29 +71,26 @@ class _Optimizer:
 
     def step(self, grad_scale: float = 1.0):
         cfg = self.cfg
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+        for p, decay, m, v in self.slots:
+            if p.grad is None:       # no gradient: the state does not advance
                 continue
-            g = g * grad_scale
-            if cfg.weight_decay and _decayable(name):
-                g = g + cfg.weight_decay * p.data
-            st = self.state[name]
+            g = p.grad * grad_scale
+            if decay:                # an unguarded `+ 0.0 * p` maps -0.0 to
+                g += decay * p.data  # +0.0 and inf to NaN
             if cfg.kind == "sgd":
-                v = st.get("v")
-                v = g if v is None else cfg.momentum * v + g
-                st["v"] = v
-                p.data = p.data - cfg.learning_rate * v
+                v *= cfg.momentum
+                v += g
+                p.data -= cfg.learning_rate * v
             else:
-                m = st.get("m", np.zeros_like(p.data))
-                v = st.get("v", np.zeros_like(p.data))
-                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-                st["m"], st["v"] = m, v
-                mhat = m / (1 - cfg.adam_beta1 ** self.t)
-                vhat = v / (1 - cfg.adam_beta2 ** self.t)
-                p.data = p.data - cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                mhat = m / (1 - b1 ** self.t)
+                vhat = v / (1 - b2 ** self.t)
+                p.data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def train(model, train_bags: List[Bag], opt: OptimizerConfig, seed: int,
@@ -201,6 +202,10 @@ class RunSpec:
     cluster_without_dropout: bool = False
     precision: str = "f64"           # f64 | f32, set in each fold's process
     workers: int = 1
+
+    def __post_init__(self):
+        if self.repetitions < 1 or self.folds < 2:
+            raise ValueError("repetitions must be at least 1 and folds at least 2")
 
     def config_hash(self) -> str:
         """Hash of what determines the metrics; `workers` does not."""

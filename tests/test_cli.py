@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -10,7 +11,10 @@ from hamil.cli import (ConfigError, build_run_spec, load_config_file, main,
 from hamil.data import Bag, Dataset, save_bag_csv
 from hamil.models import build_model, save_model
 from hamil.aggregators import AggregatorSpec
+from hamil.train_eval import OptimizerConfig, RunSpec
 
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINI_CONFIG = """\
 [experiment]
@@ -193,11 +197,35 @@ class TestRunCommand:
          "optimizer: unknown optimizer kind"),
         ("kernel_size = 3", "kernel_size = 4",
          "aggregator: kernel size must be odd"),
+        ("epochs = 1", "epochs = -3", "optimizer: epochs and bags_per_step"),
+        ("epochs = 1", "epochs = 1\nbags_per_step = -1",
+         "optimizer: epochs and bags_per_step"),
+        ("epochs = 1", "epochs = 1\nbags_per_step = 0",
+         "optimizer: epochs and bags_per_step"),
+        ("epochs = 1", "epochs = 1\nadam_beta1 = 1.0",
+         "optimizer: adam_beta1 and adam_beta2 must be in [0, 1)"),
+        ("repetitions = 1", "repetitions = 0",
+         "cv: repetitions must be at least 1 and folds at least 2"),
+        ("folds = 2", "folds = 0",
+         "cv: repetitions must be at least 1 and folds at least 2"),
+        ("kernel_size = 3", "kernel_size = 3\nattention_hidden = 0",
+         "aggregator: attention_hidden must be at least 1"),
+        ("kernel_size = 3", "kernel_size = 3\nlse_r = 0",
+         "aggregator: lse_r must be positive"),
     ])
     def test_dataclass_check_exits_2(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
         assert main(["run", "--config", cfg, "--dry-run"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(CONFIG_DIR, "*.toml"))), ids=os.path.basename)
+    def test_shipped_config_is_valid(self, path):
+        cfg = resolve_config(load_config_file(path))
+        AggregatorSpec(**cfg["aggregator"])
+        OptimizerConfig(**cfg["optimizer"])
+        RunSpec(dataset=None, repetitions=cfg["cv"]["repetitions"],
+                folds=cfg["cv"]["folds"])
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.toml")]) == 2
@@ -273,6 +301,22 @@ class TestScoresCommand:
         assert len(lines) == 2
         assert lines[0].split("score")[1] == lines[1].split("score")[1]
         assert "merge queue" in out
+
+    @pytest.mark.parametrize("pathway,message", [
+        ("vector", "instance dim 5, model expects 3"),
+        ("image", "cannot reshape array of size 5 into shape (1,8,8)"),
+    ])
+    def test_dataset_not_fitting_checkpoint_exits_1(self, tmp_path, capsys,
+                                                     pathway, message):
+        model = build_model(pathway, AggregatorSpec(kernel_size=3),
+                            feature_dim=3, image_size=8, seed=0)
+        ckpt = str(tmp_path / "model.json")
+        save_model(model, ckpt)
+        csv = toy_csv(tmp_path, dim=5)
+        assert main(["scores", ckpt, csv, "b0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_unknown_bag_exits_1(self, tmp_path, capsys):
         ckpt = self.checkpointed_model(tmp_path)

@@ -28,6 +28,41 @@ def separable_dataset(n=16, dim=4, seed=0):
     return Dataset("separable", bags, dim, 1)
 
 
+class ReferenceOptimizer(_Optimizer):
+    """The out-of-place optimizer the in-place slots replaced: a per-name
+    state dict, a suffix test per step, and new arrays on every update."""
+
+    def __init__(self, params, cfg):
+        super().__init__(params, cfg)
+        self.state = {name: {} for name in params}
+
+    def step(self, grad_scale=1.0):
+        cfg = self.cfg
+        self.t += 1
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            g = g * grad_scale
+            if cfg.weight_decay and name.endswith((".weight", ".V", ".U", ".w")):
+                g = g + cfg.weight_decay * p.data
+            st = self.state[name]
+            if cfg.kind == "sgd":
+                v = st.get("v")
+                v = g if v is None else cfg.momentum * v + g
+                st["v"] = v
+                p.data = p.data - cfg.learning_rate * v
+            else:
+                m = st.get("m", np.zeros_like(p.data))
+                v = st.get("v", np.zeros_like(p.data))
+                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
+                st["m"], st["v"] = m, v
+                mhat = m / (1 - cfg.adam_beta1 ** self.t)
+                vhat = v / (1 - cfg.adam_beta2 ** self.t)
+                p.data = p.data - cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+
+
 class TestOptimizer:
     def test_invalid_configs(self):
         with pytest.raises(ValueError, match="positive"):
@@ -72,6 +107,78 @@ class TestOptimizer:
         opt = _Optimizer({"x.weight": p}, OptimizerConfig(kind="sgd"))
         opt.step()
         assert p.data[0] == 3.0
+
+    def test_missing_grad_keeps_momentum(self):
+        # a step without a gradient neither decays nor applies v
+        p = Tensor(np.asarray([1.0]), requires_grad=True)
+        opt = _Optimizer({"x.bias": p}, OptimizerConfig(
+            kind="sgd", learning_rate=0.1, momentum=0.9, weight_decay=0.0))
+        g1, g3 = np.asarray([2.0]), np.asarray([0.5])
+        p.grad = g1
+        opt.step()
+        p.grad = None
+        opt.step()
+        assert p.data[0] == 1.0 - 0.1 * 2.0
+        p.grad = g3
+        opt.step()
+        v3 = 0.9 * g1 + g3
+        assert p.data.tobytes() == (1.0 - 0.1 * g1 - 0.1 * v3).tobytes()
+
+    def test_undecayed_parameter_value_not_read(self):
+        # 0.0 * inf would be NaN: no decay term is added when decay is 0
+        p = Tensor(np.asarray([np.inf]), requires_grad=True)
+        opt = _Optimizer({"x.bias": p}, OptimizerConfig(kind="sgd"))
+        p.grad = np.asarray([1.0])
+        opt.step()
+        assert p.data[0] == np.inf
+
+    @pytest.mark.parametrize("pathway", ["vector", "image"])
+    @pytest.mark.parametrize("kind", aggregators.AGGREGATOR_KINDS)
+    def test_decay_set(self, pathway, kind):
+        spec = AggregatorSpec(kind=kind, layers=2, kernel_size=3,
+                              attention_hidden=4)
+        params = build_model(pathway, spec, feature_dim=4,
+                             image_size=8).parameters()
+        opt = _Optimizer(params, OptimizerConfig(weight_decay=0.25))
+        decayed = {name for name, (_, decay, _, _) in zip(params, opt.slots)
+                   if decay}
+        expected = {name for name in params if name.endswith(".weight")
+                    or name in ("attn.V", "attn.U", "attn.w")}
+        assert decayed == expected
+        assert {decay for _, decay, _, _ in opt.slots} <= {0.0, 0.25}
+        assert all(name.endswith((".bias", ".gamma", ".beta"))
+                   for name in set(params) - decayed)
+
+    @pytest.mark.parametrize("pathway", ["vector", "image"])
+    @pytest.mark.parametrize("bags_per_step", [1, 4])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_training_bit_identical_to_reference(self, monkeypatch, kind,
+                                                 precision, bags_per_step,
+                                                 pathway):
+        # the single-instance bag's merge unit gets no gradient
+        if pathway == "vector":
+            bags = separable_dataset(n=7, dim=4).bags
+            bags.append(Bag("solo", [np.full(4, 0.5)], np.asarray([1.0])))
+        else:
+            bags = synth_image_bags(8, (1, 3), MotifSpec(image_size=8,
+                                                         motif_size=2),
+                                    seed=2).bags
+        cfg = OptimizerConfig(kind=kind, epochs=3, bags_per_step=bags_per_step,
+                              learning_rate=1e-2 if kind == "sgd" else 1e-3)
+        runs = []
+        previous = T.set_default_dtype(precision)
+        try:
+            for optimizer in (ReferenceOptimizer, _Optimizer):
+                monkeypatch.setattr(train_eval, "_Optimizer", optimizer)
+                model = build_model(pathway, AggregatorSpec(kernel_size=3),
+                                    feature_dim=4, image_size=8, seed=4)
+                train(model, bags, cfg, seed=6)
+                runs.append({name: p.data.tobytes()
+                             for name, p in model.parameters().items()})
+        finally:
+            T.set_default_dtype(previous)
+        assert runs[0] == runs[1]
 
 
 class TestTrain:
