@@ -28,8 +28,8 @@ from .hierclust import build_hierarchy
 from .data import (CONVERTERS, Bag, DataFormatError, MotifSpec, load_bag_csv,
                    save_bag_csv, synth_image_bags)
 from .models import ImagePathwayModel, load_model
-from .tensor import (Tensor, bce_loss, conv2d, fully_connected, mul, sigmoid,
-                     stack, sum_all)
+from .tensor import (Tensor, bce_loss, conv2d, fully_connected, mul, no_grad,
+                     sigmoid, stack, sum_all)
 from .train_eval import (OptimizerConfig, RunSpec, TrainingDivergedError,
                          auc_score, run_cv)
 
@@ -277,7 +277,8 @@ def cmd_scores(args) -> int:
             bag = Bag(bag.bag_id,
                       [np.asarray(i).reshape(model.in_channels, s, s)
                        for i in bag.instances], bag.labels)
-        out = model.forward_bag(bag, mode="eval")
+        with no_grad():
+            out = model.forward_bag(bag, mode="eval")
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -107,7 +107,8 @@ class _BaseModel:
         cluster_feats = None
         if training and self.cluster_without_dropout and self.dropout_rate \
                 and self.spec.needs_queue:
-            cluster_feats = self._embed(X, False, None).data
+            with T.no_grad():
+                cluster_feats = self._embed(X, False, None).data
         aggregated, queue = self._aggregate(H, training, rng, cluster_feats)
         logits = T.fully_connected(T.reshape(self._pool(aggregated), (1, -1)),
                                    self.head_w, self.head_b)

@@ -6,17 +6,20 @@ merges as one node (conv_replay), pointwise nonlinearities, dropout,
 batchnorm, reductions (max/mean/sum/log-sum-exp), stacking/indexing, and BCE
 loss. conv2d and maxpool2d take leading batch axes (x[..., C, H, W]);
 otherwise no broadcasting beyond scalars, no higher-order derivatives, CPU.
+Under ``no_grad()`` the same ops run without recording a tape.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _DEFAULT_DTYPE = np.float64
+_GRAD_ENABLED = True
 
 BCE_EPS = 1e-12
 BN_EPS = 1e-5
@@ -36,6 +39,20 @@ def set_default_dtype(dtype):
     else:
         raise ValueError(f"unsupported dtype: {dtype!r}")
     return previous
+
+
+@contextmanager
+def no_grad():
+    """A scope in which ops record no tape: each result is a plain Tensor
+    with no parents and no backward closure. Values are unchanged; the
+    previous setting is restored on exit, also when the body raises."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class ShapeError(ValueError):
@@ -143,7 +160,7 @@ def _needs_grad(t: Tensor) -> bool:
 
 
 def _node(data, parents, backward) -> Tensor:
-    if any(_needs_grad(p) for p in parents):
+    if _GRAD_ENABLED and any(_needs_grad(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 

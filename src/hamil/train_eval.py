@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import tensor as T
 from .aggregators import AggregatorSpec
@@ -129,14 +129,24 @@ def train(model, train_bags: List[Bag], opt: OptimizerConfig, seed: int,
 
 # -- metrics -----------------------------------------------------------------
 
+def tie_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied scores sharing their mean rank: exact
+    half-integers, the same bytes as scipy.stats.rankdata."""
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
+
+
 def auc_score(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Rank-statistic AUC with tie correction for one label column."""
+    """Rank-statistic AUC with tie correction for one label column; NaN if
+    any score is NaN."""
     pos = targets > 0.5
     npos = int(pos.sum())
     nneg = len(targets) - npos
     if npos == 0 or nneg == 0:
         raise ValueError("AUC undefined: only one class present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():       # np.unique would rank NaN last
+        return float("nan")
+    ranks = tie_ranks(scores)
     return float((ranks[pos].sum() - npos * (npos + 1) / 2) / (npos * nneg))
 
 
@@ -153,7 +163,9 @@ def evaluate(model, bags: List[Bag]) -> Dict[str, float]:
     """
     if not bags:
         raise ValueError("evaluate on empty bag list")
-    probs = np.stack([model.forward_bag(b, mode="eval").probs.data for b in bags])
+    with T.no_grad():
+        probs = np.stack([model.forward_bag(b, mode="eval").probs.data
+                          for b in bags])
     targets = np.stack([b.labels for b in bags])
     preds = probs >= 0.5
     pos = targets > 0.5
@@ -234,6 +246,7 @@ class RunResult:
     base_seed: int
     folds: List[FoldResult]
     wall_time_s: float
+    environment: Dict[str, str]      # python and numpy versions, precision
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """mean/std per metric over all fold results, plus the std of
@@ -258,6 +271,7 @@ class RunResult:
             "config_hash": self.config_hash,
             "base_seed": self.base_seed,
             "wall_time_s": self.wall_time_s,
+            "environment": self.environment,
             "summary": self.summary(),
             "folds": [asdict(f) for f in self.folds],
         }, indent=2)
@@ -324,4 +338,6 @@ def run_cv(spec: RunSpec, progress=None) -> RunResult:
             if progress is not None:
                 progress(res)
     return RunResult(spec.dataset.name, spec.config_hash(), spec.base_seed,
-                     results, time.monotonic() - t0)
+                     results, time.monotonic() - t0,
+                     {"python": platform.python_version(),
+                      "numpy": np.__version__, "precision": spec.precision})

@@ -9,7 +9,7 @@ from hamil import cli
 from hamil.cli import (ConfigError, build_run_spec, load_config_file, main,
                        resolve_config)
 from hamil.data import Bag, Dataset, save_bag_csv
-from hamil.models import build_model, save_model
+from hamil.models import build_model, load_model, save_model
 from hamil.aggregators import AggregatorSpec
 from hamil.train_eval import OptimizerConfig, RunSpec
 
@@ -317,6 +317,24 @@ class TestScoresCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_forward_records_no_tape(self, tmp_path, capsys, monkeypatch):
+        ckpt = self.checkpointed_model(tmp_path)
+        model = load_model(ckpt)
+        forward, seen = model.forward_bag, []
+
+        def capture(bag, mode="eval", rng=None):
+            seen.append((bag, forward(bag, mode, rng)))
+            return seen[-1][1]
+        model.forward_bag = capture
+        monkeypatch.setattr(cli, "load_model", lambda path: model)
+        assert main(["scores", ckpt, toy_csv(tmp_path), "b1"]) == 0
+        (bag, out), = seen
+        assert out.probs._parents == () and out.aggregated._parents == ()
+        taped = forward(bag, mode="eval")
+        assert taped.probs._parents
+        assert out.probs.data.tobytes() == taped.probs.data.tobytes()
+        assert out.scores == taped.scores
 
     def test_unknown_bag_exits_1(self, tmp_path, capsys):
         ckpt = self.checkpointed_model(tmp_path)

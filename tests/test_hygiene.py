@@ -1,6 +1,10 @@
-"""Static checks on the source tree: no imported name goes unused."""
+"""Checks on the source tree: no imported name goes unused, and the
+package imports without scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +52,15 @@ def test_no_unused_imports():
             for path in SCANNED
             for line, name in unused_imports(path.read_text())]
     assert not hits, "unused imports:\n" + "\n".join(hits)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test and benchmark dependency only; loading scipy.stats
+    # alone costs tens of MB of resident memory in every process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, hamil, hamil.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -420,6 +420,43 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * xv + 1, atol=1e-12)
 
 
+class TestNoGrad:
+    @staticmethod
+    def head(x, w, b):
+        return T.sigmoid(T.fully_connected(x, w, b))
+
+    def operands(self, rng):
+        return (Tensor(rng.standard_normal((3, 5))),
+                Tensor(rng.standard_normal((5, 2)), requires_grad=True),
+                Tensor(rng.standard_normal(2), requires_grad=True))
+
+    def test_scope_records_no_tape_and_keeps_values(self, rng):
+        ops = self.operands(rng)
+        taped = self.head(*ops)
+        assert taped._parents and taped._backward is not None
+        with T.no_grad():
+            plain = self.head(*ops)
+        assert plain._parents == () and plain._backward is None
+        assert not plain.requires_grad
+        assert plain.data.tobytes() == taped.data.tobytes()
+
+    def test_nested_scopes_restore_the_outer_setting(self, rng):
+        ops = self.operands(rng)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert self.head(*ops)._parents == ()
+        assert self.head(*ops)._parents
+
+    def test_scope_restored_when_body_raises(self, rng):
+        x, w, b = self.operands(rng)
+        with pytest.raises(T.ShapeError):
+            with T.no_grad():
+                T.fully_connected(Tensor(np.ones((3, 4))), w, b)
+        T.sum_all(self.head(x, w, b)).backward()
+        assert w.grad is not None and b.grad is not None
+
+
 class TestStackConcatGetitem:
     def test_stack_and_grads(self, rng):
         a, b = rng.standard_normal(3), rng.standard_normal(3)

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import platform
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from hamil import tensor as T
 from hamil import aggregators, train_eval
@@ -13,7 +15,7 @@ from hamil.oracles import numeric_grad, pairwise_auc
 from hamil.tensor import Tensor
 from hamil.train_eval import (METRIC_NAMES, OptimizerConfig, RunSpec,
                               TrainingDivergedError, _Optimizer, auc_score,
-                              evaluate, run_cv, train)
+                              evaluate, run_cv, tie_ranks, train)
 
 
 def separable_dataset(n=16, dim=4, seed=0):
@@ -341,6 +343,40 @@ class TestAuc:
             assert auc_score(scores, targets) == pytest.approx(
                 pairwise_auc(scores, targets), abs=1e-12)
 
+    def test_equals_quadratic_pairwise_oracle_exactly(self, rng):
+        # tie-averaged ranks are exact half-integers: one rounding each side
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.random(n), int(rng.integers(1, 3)))
+            targets = rng.integers(0, 2, n).astype(float)
+            if targets.min() == targets.max():
+                targets[0] = 1.0 - targets[0]
+            assert auc_score(scores, targets) == pairwise_auc(scores, targets)
+
+    @pytest.mark.parametrize("case", ["random", "tie_heavy", "all_tied",
+                                      "f32", "signed_zero_inf"])
+    def test_ranks_byte_equal_to_rankdata(self, rng, case):
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            scores = {
+                "random": lambda: rng.standard_normal(n),
+                "tie_heavy": lambda: rng.integers(0, 4, n).astype(float),
+                "all_tied": lambda: np.full(n, 0.25),
+                "f32": lambda: np.round(rng.random(n), 2).astype(np.float32),
+                "signed_zero_inf": lambda: rng.choice(
+                    [-np.inf, -0.0, 0.0, 1.0, np.inf], n),
+            }[case]()
+            ranks = tie_ranks(scores)
+            assert ranks.dtype == np.float64
+            assert ranks.tobytes() == rankdata(scores).tobytes()
+
+    def test_nan_score_gives_nan(self):
+        targets = np.asarray([1.0, 0.0, 1.0, 0.0])
+        for scores in ([0.9, np.nan, 0.2, 0.1], [np.nan] * 4):
+            assert np.isnan(auc_score(np.asarray(scores), targets))
+        with pytest.raises(ValueError, match="one class"):
+            auc_score(np.asarray([np.nan, 0.5]), np.asarray([1.0, 1.0]))
+
 
 class FixedModel:
     """Stub mapping bag_id -> fixed probability vector, for metric tests."""
@@ -403,6 +439,73 @@ class TestEvaluate:
             evaluate(FixedModel({}), [])
 
 
+def eval_bags(pathway):
+    if pathway == "vector":
+        return separable_dataset(n=8, dim=4, seed=5).bags
+    return synth_image_bags(8, (1, 4), MotifSpec(image_size=8, motif_size=2),
+                            seed=5).bags
+
+
+def eval_model(pathway, kind, seed=2):
+    return build_model(pathway, AggregatorSpec(kind=kind, kernel_size=3),
+                       feature_dim=4, image_size=8, seed=seed)
+
+
+class TestEvaluateNoGrad:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("pathway,kind", [
+        (pathway, kind)
+        for pathway in ("vector", "image")
+        for kind in ("hamil", "hamil_a", "ramil", "max_pool", "attention")
+        if (pathway, kind) != ("image", "attention")])
+    def test_probabilities_equal_tape_forward(self, pathway, kind, precision):
+        previous = T.set_default_dtype(precision)
+        try:
+            model = eval_model(pathway, kind)
+            bags = eval_bags(pathway)
+            forward, seen = model.forward_bag, []
+
+            def capture(bag, mode="eval", rng=None):
+                out = forward(bag, mode, rng)
+                seen.append(out)
+                return out
+            model.forward_bag = capture
+            evaluate(model, bags)
+            taped = [forward(b, mode="eval") for b in bags]
+        finally:
+            T.set_default_dtype(previous)
+        assert len(seen) == len(bags)
+        for out, ref in zip(seen, taped):
+            assert out.probs.data.dtype == np.dtype(precision.replace("f", "float"))
+            assert out.probs.data.tobytes() == ref.probs.data.tobytes()
+            assert ref.probs._parents
+            for t in (out.probs, out.aggregated, out.features):
+                assert t._parents == () and t._backward is None
+
+    def test_scope_restored_when_forward_raises(self):
+        model = eval_model("vector", "hamil")
+        bags = eval_bags("vector")
+        bad = Bag("wide", [np.zeros(5), np.ones(5)], np.asarray([1.0]))
+        with pytest.raises(T.ShapeError, match="instance dim 5"):
+            evaluate(model, bags[:3] + [bad])
+        assert model.forward_bag(bags[0], mode="eval").probs._parents
+
+    @pytest.mark.parametrize("pathway,kind", [
+        ("vector", "hamil"), ("vector", "attention"), ("image", "hamil_a")])
+    def test_train_step_after_evaluate_fills_every_gradient(self, pathway,
+                                                            kind):
+        model = eval_model(pathway, kind)
+        bags = [b for b in eval_bags(pathway) if b.size >= 2]
+        evaluate(model, bags)
+        params = model.parameters()
+        for p in params.values():
+            p.grad = None
+        out = model.forward_bag(bags[0], mode="train",
+                                rng=np.random.default_rng(0))
+        loss_bag(out.probs, bags[0].labels).backward()
+        assert [n for n, p in params.items() if p.grad is None] == []
+
+
 class TestRunCv:
     def small_spec(self, **kw):
         ds = separable_dataset(n=12, seed=4)
@@ -436,6 +539,13 @@ class TestRunCv:
         csv_text = res.to_csv()
         assert csv_text.splitlines()[0].startswith("repetition,fold")
         assert "summary_mean" in csv_text
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_json_records_environment(self, precision):
+        res = run_cv(self.small_spec(precision=precision))
+        assert json.loads(res.to_json())["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "precision": precision}
 
     def test_progress_callback(self):
         seen = []
